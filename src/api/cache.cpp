@@ -4,24 +4,15 @@
 #include <bit>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <stdexcept>
+#include <tuple>
 
-#include "graph/hash.hpp"
 
 namespace lmds::api {
-
-std::size_t CacheKeyHash::operator()(const CacheKey& key) const {
-  std::uint64_t h = key.graph_hash;
-  for (const char c : key.solver) h = graph::mix64(h ^ static_cast<unsigned char>(c));
-  for (const char c : key.options) h = graph::mix64(h ^ static_cast<unsigned char>(c));
-  // Mix a separator first so ("ab", "") and ("a", "b") across the
-  // options/ns boundary cannot collide trivially.
-  h = graph::mix64(h ^ 0x9e3779b97f4a7c15ULL);
-  for (const char c : key.ns) h = graph::mix64(h ^ static_cast<unsigned char>(c));
-  return static_cast<std::size_t>(h);
-}
 
 namespace {
 
@@ -61,25 +52,264 @@ std::string canonical_options(const Options& params, bool measure_traffic,
   return out;
 }
 
+// ---------------------------------------------------------------------------
+// Entry record (in memory only; snapshots keep the v2 layout below):
+//
+//   varint  payload length
+//   payload u8 flags: 1 problem is Mvc, 2 valid, 4 ratio.exact,
+//                     8 ratio_measured, 16 traffic_measured,
+//                     32 Response::solver differs from the key's solver,
+//                     64 solution omitted: it is the sorted union of the
+//                        three diag lists (Algorithm 1 and its MVC variant)
+//           [str]     Response::solver, only with flag 32
+//           zz        diag.rounds, diag.traffic.rounds, diag.twin_classes,
+//                     diag.residual_components, diag.max_residual_diameter,
+//                     ratio.solution_size, ratio.reference
+//           varint    diag.traffic.messages, diag.traffic.bytes,
+//                     the IEEE bits of ratio.ratio
+//           lists     solution (unless flag 64), one_cuts,
+//                     two_cut_vertices, brute_forced, each either
+//                       varint 4·count, then zz(v[i] - v[i-1]), v[-1] = 0
+//                     or, if strictly increasing and smaller,
+//                       varint 4·count + 1, zz(front), then a bitmap whose
+//                       bit i (LSB first) marks front + i
+//                     or, with count >= kPlainList,
+//                       varint 4·count + 2, then the values as native i32
+//
+// varint = LEB128 (7 bits per byte), zz = zigzag over 64 bits, str = varint
+// length + bytes. A sorted vertex list costs at most about a byte per vertex
+// (a bit per vertex of its span when dense); any list (unsorted, repeated,
+// negative) still round-trips exactly.
+
+namespace {
+
+using Record = std::unique_ptr<std::uint8_t[]>;
+
+constexpr std::uint8_t kMvc = 1, kValid = 2, kExact = 4, kRatioMeasured = 8,
+                       kTrafficMeasured = 16, kOwnSolver = 32, kUnionSolution = 64;
+
+std::uint64_t zigzag(std::int64_t v) {
+  return (static_cast<std::uint64_t>(v) << 1) ^ static_cast<std::uint64_t>(v >> 63);
+}
+
+std::int64_t unzigzag(std::uint64_t v) {
+  return static_cast<std::int64_t>(v >> 1) ^ -static_cast<std::int64_t>(v & 1);
+}
+
+void put_varint(std::string& out, std::uint64_t v) {
+  for (; v >= 0x80; v >>= 7) out += static_cast<char>(v | 0x80);
+  out += static_cast<char>(v);
+}
+
+// Lists this long stay plain 32-bit values: a hit then expands them with one
+// memcpy (a 10k-vertex answer's 5,000-vertex solution costs ~0.5 µs instead
+// of ~5 µs), and such an entry is never larger than a Response held whole.
+constexpr std::size_t kPlainList = 1024;
+
+// A list as zigzag deltas, or — when strictly increasing and that is
+// smaller — as a bitmap over [front, back] (a tree's X covers most
+// vertices), or plain when long.
+void put_list(std::string& out, const std::vector<Vertex>& vs) {
+  if (vs.size() >= kPlainList) {
+    put_varint(out, vs.size() * 4 + 2);
+    out.append(reinterpret_cast<const char*>(vs.data()), vs.size() * sizeof(Vertex));
+    return;
+  }
+  std::string deltas;
+  put_varint(deltas, vs.size() * 4);
+  std::int64_t prev = 0;
+  for (const Vertex v : vs) {
+    put_varint(deltas, zigzag(v - prev));
+    prev = v;
+  }
+  if (!vs.empty() && std::adjacent_find(vs.begin(), vs.end(), std::greater_equal<>()) == vs.end() &&
+      (std::int64_t{vs.back()} - vs.front()) / 8 < static_cast<std::int64_t>(deltas.size())) {
+    const std::int64_t front = vs.front();
+    std::string bitmap;
+    put_varint(bitmap, vs.size() * 4 + 1);
+    put_varint(bitmap, zigzag(front));
+    const std::size_t at = bitmap.size();
+    bitmap.resize(at + static_cast<std::size_t>((vs.back() - front) / 8 + 1));
+    for (const Vertex v : vs) {
+      bitmap[at + static_cast<std::size_t>((v - front) / 8)] |= static_cast<char>(1 << ((v - front) % 8));
+    }
+    if (bitmap.size() < deltas.size()) deltas = std::move(bitmap);
+  }
+  out += deltas;
+}
+
+// Sorted union of the diag lists: Algorithm 1's solution is X ∪ I ∪ the
+// step-3 additions, so its record need not list the solution twice.
+std::vector<Vertex> diag_union(const Diagnostics& d) {
+  std::vector<Vertex> u = d.one_cuts;
+  u.insert(u.end(), d.two_cut_vertices.begin(), d.two_cut_vertices.end());
+  u.insert(u.end(), d.brute_forced.begin(), d.brute_forced.end());
+  std::sort(u.begin(), u.end());
+  u.erase(std::unique(u.begin(), u.end()), u.end());
+  return u;
+}
+
+Record encode_record(const Response& r, const std::string& key_solver) {
+  std::string payload;
+  const bool own_solver = r.solver != key_solver;
+  const bool union_solution =
+      r.diag.one_cuts.size() + r.diag.two_cut_vertices.size() + r.diag.brute_forced.size() >=
+          r.solution.size() &&
+      diag_union(r.diag) == r.solution;
+  payload += static_cast<char>((r.problem == Problem::Mvc ? kMvc : 0) | (r.valid ? kValid : 0) |
+                               (r.ratio.exact ? kExact : 0) |
+                               (r.ratio_measured ? kRatioMeasured : 0) |
+                               (r.diag.traffic_measured ? kTrafficMeasured : 0) |
+                               (own_solver ? kOwnSolver : 0) |
+                               (union_solution ? kUnionSolution : 0));
+  if (own_solver) {
+    put_varint(payload, r.solver.size());
+    payload += r.solver;
+  }
+  for (const int v : {r.diag.rounds, r.diag.traffic.rounds, r.diag.twin_classes,
+                      r.diag.residual_components, r.diag.max_residual_diameter,
+                      r.ratio.solution_size, r.ratio.reference}) {
+    put_varint(payload, zigzag(v));
+  }
+  put_varint(payload, r.diag.traffic.messages);
+  put_varint(payload, r.diag.traffic.bytes);
+  put_varint(payload, std::bit_cast<std::uint64_t>(r.ratio.ratio));
+  if (!union_solution) put_list(payload, r.solution);
+  for (const auto* list : {&r.diag.one_cuts, &r.diag.two_cut_vertices, &r.diag.brute_forced}) {
+    put_list(payload, *list);
+  }
+  std::string record;
+  put_varint(record, payload.size());
+  record += payload;
+  Record out = std::make_unique_for_overwrite<std::uint8_t[]>(record.size());
+  std::memcpy(out.get(), record.data(), record.size());
+  return out;
+}
+
+// Reads a record written by encode_record; records never leave the process,
+// so the reader trusts them.
+struct RecordReader {
+  const std::uint8_t* p;
+
+  std::uint64_t varint() {
+    std::uint64_t v = 0;
+    for (int shift = 0;; shift += 7) {
+      const std::uint8_t b = *p++;
+      v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+      if (!(b & 0x80)) return v;
+    }
+  }
+  std::int32_t i32() { return static_cast<std::int32_t>(unzigzag(varint())); }
+  void list(std::vector<Vertex>& out) {
+    const std::uint64_t head = varint();
+    out.resize(static_cast<std::size_t>(head / 4));
+    if (head % 4 == 2) {  // plain
+      std::memcpy(out.data(), p, out.size() * sizeof(Vertex));
+      p += out.size() * sizeof(Vertex);
+    } else if (head % 4 == 1) {  // bitmap: bit i set <=> front + i listed
+      std::int64_t base = unzigzag(varint());
+      std::size_t i = 0;
+      while (i < out.size()) {  // a byte at a time, one countr_zero per member
+        for (unsigned bits = *p++; bits != 0; bits &= bits - 1) {
+          out[i++] = static_cast<Vertex>(base + std::countr_zero(bits));
+        }
+        base += 8;
+      }
+    } else {
+      std::int64_t prev = 0;
+      for (Vertex& v : out) v = static_cast<Vertex>(prev += unzigzag(varint()));
+    }
+  }
+};
+
+// Bytes of a whole record: its length prefix plus the payload.
+std::size_t record_size(const std::uint8_t* record) {
+  RecordReader in{record};
+  const std::uint64_t payload = in.varint();
+  return static_cast<std::size_t>(in.p - record) + payload;
+}
+
+Response decode_record(const std::uint8_t* record, const std::string& key_solver) {
+  RecordReader in{record};
+  in.varint();  // payload length
+  const std::uint8_t flags = *in.p++;
+  Response r;
+  if (flags & kOwnSolver) {
+    const auto n = static_cast<std::size_t>(in.varint());
+    r.solver.assign(reinterpret_cast<const char*>(in.p), n);
+    in.p += n;
+  } else {
+    r.solver = key_solver;
+  }
+  r.problem = flags & kMvc ? Problem::Mvc : Problem::Mds;
+  r.valid = flags & kValid;
+  r.ratio.exact = flags & kExact;
+  r.ratio_measured = flags & kRatioMeasured;
+  r.diag.traffic_measured = flags & kTrafficMeasured;
+  for (int* v : {&r.diag.rounds, &r.diag.traffic.rounds, &r.diag.twin_classes,
+                 &r.diag.residual_components, &r.diag.max_residual_diameter,
+                 &r.ratio.solution_size, &r.ratio.reference}) {
+    *v = in.i32();
+  }
+  r.diag.traffic.messages = in.varint();
+  r.diag.traffic.bytes = in.varint();
+  r.ratio.ratio = std::bit_cast<double>(in.varint());
+  if (!(flags & kUnionSolution)) in.list(r.solution);
+  for (auto* list : {&r.diag.one_cuts, &r.diag.two_cut_vertices, &r.diag.brute_forced}) {
+    in.list(*list);
+  }
+  if (flags & kUnionSolution) r.solution = diag_union(r.diag);
+  return r;
+}
+
+}  // namespace
+
+bool ResponseCache::ShapeLess::operator()(const CacheKey& a, const CacheKey& b) const {
+  return std::tie(a.solver, a.options, a.ns) < std::tie(b.solver, b.options, b.ns);
+}
+
 ResponseCache::ResponseCache(std::size_t capacity) : capacity_(capacity) {}
+
+ResponseCache::LruList::iterator ResponseCache::find_locked(const CacheKey& key) {
+  const auto shape = shapes_.find(key);
+  if (shape == shapes_.end()) return lru_.end();
+  const auto it = shape->second.find(key.graph_hash);
+  return it == shape->second.end() ? lru_.end() : it->second;
+}
+
+void ResponseCache::push_back_locked(const CacheKey& key, Record record) {
+  const auto shape = shapes_.try_emplace(key).first;
+  lru_.push_back(Entry{shape, key.graph_hash, std::move(record)});
+  shape->second.emplace(key.graph_hash, std::prev(lru_.end()));
+  ++ns_stats_[key.ns].size;
+}
 
 std::optional<Response> ResponseCache::lookup(const CacheKey& key) {
   if (!enabled()) return std::nullopt;
-  common::MutexLock lock(mu_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) return std::nullopt;  // the completing insert() counts the miss
-  lru_.splice(lru_.begin(), lru_, it->second);  // promote to MRU
-  ++hits_;
-  ++ns_stats_[key.ns].hits;
-  return it->second->second;
+  std::string bytes;
+  {
+    common::MutexLock lock(mu_);
+    const auto it = find_locked(key);
+    if (it == lru_.end()) return std::nullopt;  // the completing insert() counts the miss
+    lru_.splice(lru_.begin(), lru_, it);  // promote to MRU
+    ++hits_;
+    ++ns_stats_[key.ns].hits;
+    const std::uint8_t* record = it->record.get();
+    bytes.assign(reinterpret_cast<const char*>(record), record_size(record));
+  }
+  // Expanding the copy needs no lock: concurrent hits do not queue on it.
+  return decode_record(reinterpret_cast<const std::uint8_t*>(bytes.data()), key.solver);
 }
 
 void ResponseCache::evict_lru_locked() {
-  NamespaceStats& loser = ns_stats_[lru_.back().first.ns];
+  const auto last = std::prev(lru_.end());
+  const auto shape = last->shape;
+  NamespaceStats& loser = ns_stats_[shape->first.ns];
   ++loser.evictions;
   --loser.size;
-  index_.erase(lru_.back().first);
-  lru_.pop_back();
+  shape->second.erase(last->graph_hash);
+  if (shape->second.empty()) shapes_.erase(shape);
+  lru_.erase(last);
   ++evictions_;
 }
 
@@ -94,22 +324,22 @@ void ResponseCache::prune_idle_namespaces_locked(const std::string& ns) {
 
 bool ResponseCache::insert(const CacheKey& key, const Response& value) {
   if (!enabled()) return false;
+  Record record = encode_record(value, key.solver);  // outside the lock
   common::MutexLock lock(mu_);
   ++misses_;  // one computed Response reached the cache — the request's miss
   prune_idle_namespaces_locked(key.ns);
   ++ns_stats_[key.ns].misses;
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
+  const auto it = find_locked(key);
+  if (it != lru_.end()) {
     // Concurrent workers may compute the same entry; keep the first, just
     // refresh recency — the Responses are identical by determinism.
-    lru_.splice(lru_.begin(), lru_, it->second);
+    lru_.splice(lru_.begin(), lru_, it);
     return false;
   }
   const bool evict = lru_.size() >= capacity_;
   if (evict) evict_lru_locked();
-  lru_.emplace_front(key, value);
-  index_[key] = lru_.begin();
-  ++ns_stats_[key.ns].size;
+  push_back_locked(key, std::move(record));
+  lru_.splice(lru_.begin(), lru_, std::prev(lru_.end()));
   return evict;
 }
 
@@ -125,8 +355,12 @@ std::map<std::string, NamespaceStats> ResponseCache::namespace_stats() const {
 
 void ResponseCache::clear() {
   common::MutexLock lock(mu_);
+  clear_locked();
+}
+
+void ResponseCache::clear_locked() {
   lru_.clear();
-  index_.clear();
+  shapes_.clear();
   for (auto& [ns, stats] : ns_stats_) stats.size = 0;
 }
 
@@ -319,18 +553,19 @@ void ResponseCache::serialize(std::ostream& out) const {
   // Back-to-front = LRU first, so replaying the stream through ordered
   // inserts reproduces the recency order exactly.
   for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-    put_u64(out, it->first.graph_hash);
-    put_str(out, it->first.solver);
-    put_str(out, it->first.options);
-    put_str(out, it->first.ns);
-    put_response(out, it->second);
+    const CacheKey& shape = it->shape->first;
+    put_u64(out, it->graph_hash);
+    put_str(out, shape.solver);
+    put_str(out, shape.options);
+    put_str(out, shape.ns);
+    put_response(out, decode_record(it->record.get(), shape.solver));
   }
   put_u64(out, kFooter);
   if (!out) throw std::runtime_error("cache snapshot: stream write failed");
 }
 
-ResponseCache::LruList ResponseCache::parse_snapshot(std::istream& in,
-                                                     std::size_t clamp) {
+ResponseCache::Parsed ResponseCache::parse_snapshot(std::istream& in,
+                                                    std::size_t clamp) {
   char magic[8];
   get_bytes(in, magic, sizeof magic);
   if (std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
@@ -345,7 +580,7 @@ ResponseCache::LruList ResponseCache::parse_snapshot(std::istream& in,
 
   // Parse the whole snapshot before touching live state: a truncation throws
   // from here and the caller's cache is left exactly as it was.
-  LruList entries;  // built MRU-first, i.e. in final list order
+  Parsed entries;  // built MRU-first, i.e. in final list order
   for (std::uint64_t i = 0; i < count; ++i) {
     CacheKey key;
     key.graph_hash = get_u64(in);
@@ -353,8 +588,8 @@ ResponseCache::LruList ResponseCache::parse_snapshot(std::istream& in,
     key.options = get_str(in);
     // Version 1 predates namespaces; its entries belong to the default one.
     key.ns = version >= kVersion ? get_str(in) : std::string();
-    Response value = get_response(in);
-    entries.emplace_front(std::move(key), std::move(value));
+    Record record = encode_record(get_response(in), key.solver);
+    entries.emplace_front(std::move(key), std::move(record));
     if (clamp > 0 && entries.size() > clamp) entries.pop_back();  // drop oldest
   }
   if (get_u64(in) != kFooter) truncated();
@@ -362,48 +597,36 @@ ResponseCache::LruList ResponseCache::parse_snapshot(std::istream& in,
 }
 
 void ResponseCache::deserialize(std::istream& in) {
-  LruList entries = parse_snapshot(in, enabled() ? capacity_ : 0);
+  Parsed entries = parse_snapshot(in, enabled() ? capacity_ : 0);
   if (!enabled()) return;
 
   common::MutexLock lock(mu_);
-  install_entries_locked(std::move(entries));
+  // Per-namespace sizes then describe the entries just loaded; the hit/miss
+  // counters stay lifetime-of-this-process, like the global ones.
+  clear_locked();
+  append_locked(entries);
 }
 
 void ResponseCache::merge(std::istream& in) {
-  LruList entries = parse_snapshot(in, enabled() ? capacity_ : 0);
+  Parsed entries = parse_snapshot(in, enabled() ? capacity_ : 0);
   if (!enabled()) return;
 
   common::MutexLock lock(mu_);
-  // MRU-first traversal + push_back keeps the snapshot's relative recency
-  // while queueing every merged entry behind the live ones; once full, the
-  // remaining (older) snapshot entries are dropped rather than evicting
-  // anything the server already holds.
-  for (auto& [key, value] : entries) {
-    if (lru_.size() >= capacity_) break;
-    if (index_.contains(key)) continue;
-    prune_idle_namespaces_locked(key.ns);
-    ++ns_stats_[key.ns].size;
-    lru_.emplace_back(std::move(key), std::move(value));
-    index_[lru_.back().first] = std::prev(lru_.end());
-  }
+  append_locked(entries);
 }
 
-void ResponseCache::install_entries_locked(LruList entries) {
-  lru_ = std::move(entries);
-  index_.clear();
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    // Front-to-back is most- to least-recent; on a (corrupt) duplicate key
-    // keep the more recent copy so list and index stay consistent.
-    if (index_.emplace(it->first, it).second) {
-      ++it;
-    } else {
-      it = lru_.erase(it);
-    }
+void ResponseCache::append_locked(Parsed& entries) {
+  // MRU-first traversal + push_back keeps the snapshot's relative recency
+  // while queueing every entry behind the live ones; once full, the
+  // remaining (older) snapshot entries are dropped rather than evicting
+  // anything the cache already holds. On a (corrupt) duplicate key the more
+  // recent copy wins.
+  for (auto& [key, record] : entries) {
+    if (lru_.size() >= capacity_) break;
+    if (find_locked(key) != lru_.end()) continue;
+    prune_idle_namespaces_locked(key.ns);
+    push_back_locked(key, std::move(record));
   }
-  // Per-namespace sizes describe the entries just loaded; the hit/miss
-  // counters stay lifetime-of-this-process, like the global ones.
-  for (auto& [ns, stats] : ns_stats_) stats.size = 0;
-  for (const auto& [key, value] : lru_) ++ns_stats_[key.ns].size;
 }
 
 void ResponseCache::save_file(const std::string& path) const {

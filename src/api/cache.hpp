@@ -19,8 +19,14 @@
 // trade by design — the cache stores no graph copies and key comparison is
 // O(|options string|).
 //
-// Hits return a copy of the stored Response, bit-identical to the Response
-// the original run produced (asserted in tests/test_batch.cpp).
+// Hits return a Response bit-identical to the one the original run produced
+// (asserted in tests/test_batch.cpp), but the cache does not hold Responses:
+// each request shape (solver, options, namespace) is stored once, with a
+// graph_hash → entry sub-index, and each entry holds its answer as one
+// compact record — the scalars as varints, each vertex list as zigzag-delta
+// varints, a bitmap or, when long, plain, in a single allocation (layout in
+// cache.cpp and docs/ARCHITECTURE.md). A hit copies the record bytes under the lock and
+// expands them after releasing it.
 //
 // Persistence: serialize() / deserialize() snapshot the entries (keys +
 // responses, in recency order) to a versioned binary stream, so a long-lived
@@ -30,6 +36,7 @@
 #include <iosfwd>
 #include <list>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -49,10 +56,6 @@ struct CacheKey {
   std::string ns;       ///< tenant namespace; "" = default
 
   friend bool operator==(const CacheKey&, const CacheKey&) = default;
-};
-
-struct CacheKeyHash {
-  std::size_t operator()(const CacheKey& key) const;
 };
 
 /// Serializes resolved params + request flags into the canonical key string,
@@ -103,9 +106,10 @@ class ResponseCache {
   bool enabled() const { return capacity_ > 0; }
   std::size_t capacity() const { return capacity_; }
 
-  /// Returns a copy of the cached Response and promotes the entry to
+  /// Returns the cached Response and promotes the entry to
   /// most-recently-used; std::nullopt on miss. Counts a hit on success;
-  /// a miss is counted by the insert() that completes the request.
+  /// a miss is counted by the insert() that completes the request. Only the
+  /// record bytes are copied under the lock; the Response is expanded after.
   std::optional<Response> lookup(const CacheKey& key) LMDS_EXCLUDES(mu_);
 
   /// Inserts (or refreshes) an entry, evicting the least-recently-used one
@@ -155,7 +159,31 @@ class ResponseCache {
   void load_file(const std::string& path);
 
  private:
-  using LruList = std::list<std::pair<CacheKey, Response>>;  // front = MRU
+  /// Shapes compare on (solver, options, ns); the graph_hash of a shape's
+  /// map key is unused.
+  struct ShapeLess {
+    bool operator()(const CacheKey& a, const CacheKey& b) const;
+  };
+  struct Entry;
+  using LruList = std::list<Entry>;  // front = MRU
+  using ByHash = std::unordered_map<std::uint64_t, LruList::iterator>;
+  using ShapeMap = std::map<CacheKey, ByHash, ShapeLess>;
+  struct Entry {
+    ShapeMap::iterator shape;
+    std::uint64_t graph_hash = 0;
+    std::unique_ptr<std::uint8_t[]> record;  ///< varint length, then the payload
+  };
+  using Parsed = std::list<std::pair<CacheKey, std::unique_ptr<std::uint8_t[]>>>;
+
+  /// The entry for `key`, or lru_.end().
+  LruList::iterator find_locked(const CacheKey& key) LMDS_REQUIRES(mu_);
+
+  /// Drops every entry; per-namespace sizes go to 0, counters stay.
+  void clear_locked() LMDS_REQUIRES(mu_);
+
+  /// Appends an entry behind every live one (LRU end); `key` must be absent.
+  void push_back_locked(const CacheKey& key, std::unique_ptr<std::uint8_t[]> record)
+      LMDS_REQUIRES(mu_);
 
   /// Evicts the least-recently-used entry, charging the eviction to the
   /// namespace losing it (capacity is shared; that need not be the
@@ -167,23 +195,23 @@ class ResponseCache {
   /// currently hold no entries.
   void prune_idle_namespaces_locked(const std::string& ns) LMDS_REQUIRES(mu_);
 
-  /// Replaces the live entries with `entries` (already capacity-clamped,
-  /// MRU-first), rebuilds the index, and recomputes per-namespace sizes —
-  /// deserialize()'s commit step, after all parsing that can throw.
-  void install_entries_locked(LruList entries) LMDS_REQUIRES(mu_);
+  /// Appends the absent entries of an MRU-first snapshot behind the live
+  /// ones while capacity lasts — the commit step of deserialize() (after a
+  /// clear) and merge(), after all parsing that can throw.
+  void append_locked(Parsed& entries) LMDS_REQUIRES(mu_);
 
-  /// Parses a full snapshot stream into an MRU-first list, validating magic,
-  /// version and footer. `clamp` > 0 drops the least-recent entries beyond
-  /// that count while parsing; 0 keeps everything. Throws on a corrupt or
-  /// truncated stream without touching any live state (it is static — the
-  /// shared front half of deserialize() and merge()).
-  static LruList parse_snapshot(std::istream& in, std::size_t clamp);
+  /// Parses a full snapshot stream into an MRU-first list of keys and
+  /// encoded records, validating magic, version and footer. `clamp` > 0
+  /// drops the least-recent entries beyond that count while parsing; 0 keeps
+  /// everything. Throws on a corrupt or truncated stream without touching
+  /// any live state (it is static — the shared front half of deserialize()
+  /// and merge()).
+  static Parsed parse_snapshot(std::istream& in, std::size_t clamp);
 
   const std::size_t capacity_;
   mutable common::Mutex mu_;
   LruList lru_ LMDS_GUARDED_BY(mu_);
-  std::unordered_map<CacheKey, LruList::iterator, CacheKeyHash> index_
-      LMDS_GUARDED_BY(mu_);
+  ShapeMap shapes_ LMDS_GUARDED_BY(mu_);
   std::uint64_t hits_ LMDS_GUARDED_BY(mu_) = 0;
   std::uint64_t misses_ LMDS_GUARDED_BY(mu_) = 0;
   std::uint64_t evictions_ LMDS_GUARDED_BY(mu_) = 0;

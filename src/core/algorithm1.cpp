@@ -177,14 +177,13 @@ Algorithm1Result algorithm1_local(const local::Network& net, const Algorithm1Con
   std::vector<char> is_one_cut(static_cast<std::size_t>(rn), 0);
   std::vector<char> is_interesting_v(static_cast<std::size_t>(rn), 0);
   common::parallel_for(rn, threads, [&](int begin, int end) {
+    cuts::CutScratch scratch;  // one arena per worker, reused across its views
     for (Vertex v = begin; v < end; ++v) {
       const local::BallView& view = views[static_cast<std::size_t>(v)];
-      if (cuts::is_local_one_cut(view.graph, view.centre, std::min(r1, view_radius))) {
-        is_one_cut[static_cast<std::size_t>(v)] = 1;
-      }
-      if (cuts::is_interesting(view.graph, view.centre, std::min(r2, view_radius))) {
-        is_interesting_v[static_cast<std::size_t>(v)] = 1;
-      }
+      is_one_cut[static_cast<std::size_t>(v)] = cuts::is_local_one_cut(
+          view.graph, view.centre, std::min(r1, view_radius), scratch);
+      is_interesting_v[static_cast<std::size_t>(v)] = cuts::is_interesting(
+          view.graph, view.centre, std::min(r2, view_radius), scratch);
     }
   });
   std::vector<Vertex> one_cuts;

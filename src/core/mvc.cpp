@@ -93,20 +93,14 @@ MvcAlgorithm1Result algorithm1_mvc_local(const local::Network& net,
   std::vector<char> is_one_cut(static_cast<std::size_t>(n), 0);
   std::vector<char> in_two_cut(static_cast<std::size_t>(n), 0);
   common::parallel_for(n, threads, [&](int begin, int end) {
+    cuts::CutScratch scratch;  // one arena per worker, reused across its views
     for (Vertex v = begin; v < end; ++v) {
       const local::BallView& view = views[static_cast<std::size_t>(v)];
-      if (cuts::is_local_one_cut(view.graph, view.centre, std::min(r1, view_radius))) {
-        is_one_cut[static_cast<std::size_t>(v)] = 1;
-      }
-      // "v is in some r2-local minimal 2-cut": scan partners inside the view.
-      const int r2_eff = std::min(r2, view_radius);
-      for (Vertex u : graph::ball(view.graph, view.centre, r2_eff)) {
-        if (u == view.centre) continue;
-        if (cuts::is_local_two_cut(view.graph, view.centre, u, r2_eff)) {
-          in_two_cut[static_cast<std::size_t>(v)] = 1;
-          break;
-        }
-      }
+      is_one_cut[static_cast<std::size_t>(v)] = cuts::is_local_one_cut(
+          view.graph, view.centre, std::min(r1, view_radius), scratch);
+      // "v is in some r2-local minimal 2-cut": partners inside the view.
+      in_two_cut[static_cast<std::size_t>(v)] = cuts::in_local_two_cut(
+          view.graph, view.centre, std::min(r2, view_radius), scratch);
     }
   });
   std::vector<Vertex> one_cuts;

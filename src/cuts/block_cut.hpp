@@ -18,11 +18,6 @@ using graph::Vertex;
 /// Tarjan lowpoint DFS).
 std::vector<Vertex> articulation_points(const Graph& g);
 
-/// True iff removing v increases the number of connected components.
-/// O(n + m) — brute-force reference used in tests and by the local-cut code
-/// on small ball graphs.
-bool is_cut_vertex(const Graph& g, Vertex v);
-
 /// The block-cut tree of a graph.
 ///
 /// Nodes are the maximal biconnected components ("blocks", including bridge
@@ -51,5 +46,10 @@ struct BlockCutTree {
 
 /// Computes the block-cut tree of g.
 BlockCutTree block_cut_tree(const Graph& g);
+
+/// Per vertex, the ids (into block_cut_tree(g).blocks) of its blocks of
+/// >= 3 vertices, ascending: the block rule of the cut kernel (two_cuts.hpp).
+using BlockIndex = std::vector<std::vector<int>>;
+BlockIndex block_index(const Graph& g);
 
 }  // namespace lmds::cuts

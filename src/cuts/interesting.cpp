@@ -1,107 +1,72 @@
 #include "cuts/interesting.hpp"
 
-#include <algorithm>
-
-#include "graph/bfs.hpp"
-#include "graph/ops.hpp"
+#include <stdexcept>
 
 namespace lmds::cuts {
 
 namespace {
 
-// Shared condition check on an already-materialised host graph h in which
-// {u, v} is known to be a minimal 2-cut. Conditions:
-//   (1) N_G[v] ⊄ N_G[u] — evaluated in h, which agrees with g because h
-//       contains the full 1-balls of u and v;
-//   (2) >= 2 components of h − {u, v} contain a vertex non-adjacent to u.
-bool interesting_conditions(const Graph& h, Vertex v, Vertex u) {
-  if (h.closed_neighborhood_contained(v, u)) return false;  // N[v] ⊆ N[u]
-  const Vertex removed[] = {u, v};
-  const auto comps = graph::components_without(h, removed);
-  std::vector<char> has_nonneighbor(static_cast<std::size_t>(comps.count), 0);
-  for (Vertex w = 0; w < h.num_vertices(); ++w) {
-    const int c = comps.component[static_cast<std::size_t>(w)];
-    if (c < 0) continue;
-    if (!h.has_edge(w, u)) has_nonneighbor[static_cast<std::size_t>(c)] = 1;
-  }
-  int count = 0;
-  for (int c = 0; c < comps.count; ++c) {
-    if (has_nonneighbor[static_cast<std::size_t>(c)]) ++count;
-  }
-  return count >= 2;
-}
+// Minimality and condition (2) for v with partner u, from the counts of the
+// pair taken with u first. Callers read condition (1), N[v] ⊄ N[u], on g
+// before any traversal: the host holds the full 1-balls of u and v.
+bool certifies(const PairCounts& c) { return c.full >= 2 && c.nonadj_u >= 2; }
 
 }  // namespace
 
-bool certifies_interesting(const Graph& g, Vertex v, Vertex u, int r) {
-  if (u == v) return false;
-  const int d = graph::distance(g, u, v);
-  if (d < 0 || d > r) return false;
-  const Vertex sources[] = {u, v};
-  const auto ball_vertices = graph::ball_of_set(g, sources, r);
-  const auto sub = graph::induced_subgraph(g, ball_vertices);
-  const Vertex su = sub.from_parent[static_cast<std::size_t>(u)];
-  const Vertex sv = sub.from_parent[static_cast<std::size_t>(v)];
-  if (!is_minimal_two_cut(sub.graph, su, sv)) return false;
-  // The 1-balls of u and v lie inside the r-ball of {u, v} (r >= 1), so
-  // closed neighbourhoods agree between g and the ball graph.
-  return interesting_conditions(sub.graph, sv, su);
-}
-
-bool is_interesting(const Graph& g, Vertex v, int r) {
-  for (Vertex u : graph::ball(g, v, r)) {
-    if (u == v) continue;
-    if (certifies_interesting(g, v, u, r)) return true;
-  }
-  return false;
+bool is_interesting(const Graph& g, Vertex v, int r, CutScratch& scratch) {
+  if (!g.has_vertex(v)) throw std::invalid_argument("is_interesting: bad vertex");
+  return r >= 1 && any_partner(g, block_index(g), v, r, scratch, [&](Vertex u) {
+           return !g.closed_neighborhood_contained(v, u) &&
+                  certifies(pair_counts(g, u, v, r, scratch));
+         });
 }
 
 std::vector<Vertex> interesting_vertices(const Graph& g, int r) {
+  // Each unordered pair is counted once and answers for both endpoints.
+  std::vector<char> hit(static_cast<std::size_t>(g.num_vertices()), 0);
+  CutScratch s;
+  const BlockIndex blocks = block_index(g);
+  for (Vertex v = 0; r >= 1 && v < g.num_vertices(); ++v) {
+    any_partner(g, blocks, v, r, s, [&](Vertex u) {
+      char& hit_v = hit[static_cast<std::size_t>(v)];
+      char& hit_u = hit[static_cast<std::size_t>(u)];
+      const bool need_v = u > v && !hit_v && !g.closed_neighborhood_contained(v, u);
+      const bool need_u = u > v && !hit_u && !g.closed_neighborhood_contained(u, v);
+      if (need_v || need_u) {
+        const PairCounts c = pair_counts(g, u, v, r, s);
+        hit_v |= need_v && certifies(c);
+        hit_u |= need_u && certifies({c.full, c.nonadj_v, c.nonadj_u});
+      }
+      return false;
+    });
+  }
   std::vector<Vertex> result;
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    if (is_interesting(g, v, r)) result.push_back(v);
+    if (hit[static_cast<std::size_t>(v)]) result.push_back(v);
   }
   return result;
 }
 
 bool certifies_globally_interesting(const Graph& g, Vertex v, Vertex u) {
-  if (u == v) return false;
-  if (!is_minimal_two_cut(g, u, v)) return false;
-  return interesting_conditions(g, v, u);
-}
-
-bool is_globally_interesting(const Graph& g, Vertex v) {
-  for (Vertex u = 0; u < g.num_vertices(); ++u) {
-    if (u == v) continue;
-    if (certifies_globally_interesting(g, v, u)) return true;
-  }
-  return false;
+  CutScratch s;
+  return u != v && g.has_vertex(u) && g.has_vertex(v) && !g.closed_neighborhood_contained(v, u) &&
+         certifies(pair_counts(g, u, v, -1, s));
 }
 
 std::vector<Vertex> globally_interesting_vertices(const Graph& g) {
   std::vector<Vertex> result;
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    if (is_globally_interesting(g, v)) result.push_back(v);
+    Vertex u = 0;
+    while (u < g.num_vertices() && !certifies_globally_interesting(g, v, u)) ++u;
+    if (u < g.num_vertices()) result.push_back(v);
   }
   return result;
 }
 
 bool is_almost_interesting(const Graph& g, Vertex v) {
-  for (Vertex u = 0; u < g.num_vertices(); ++u) {
-    if (u == v || !is_minimal_two_cut(g, u, v)) continue;
-    const Vertex removed[] = {u, v};
-    const auto comps = graph::components_without(g, removed);
-    std::vector<char> has_nonneighbor(static_cast<std::size_t>(comps.count), 0);
-    for (Vertex w = 0; w < g.num_vertices(); ++w) {
-      const int c = comps.component[static_cast<std::size_t>(w)];
-      if (c < 0) continue;
-      if (!g.has_edge(w, u)) has_nonneighbor[static_cast<std::size_t>(c)] = 1;
-    }
-    int count = 0;
-    for (int c = 0; c < comps.count; ++c) {
-      if (has_nonneighbor[static_cast<std::size_t>(c)]) ++count;
-    }
-    if (count >= 2) return true;
+  CutScratch s;
+  for (Vertex u = 0; g.has_vertex(v) && u < g.num_vertices(); ++u) {
+    if (u != v && certifies(pair_counts(g, u, v, -1, s))) return true;
   }
   return false;
 }

@@ -14,16 +14,11 @@
 #include <vector>
 
 #include "cuts/two_cuts.hpp"
-#include "graph/graph.hpp"
 
 namespace lmds::cuts {
 
-/// Checks conditions (1) and (2) for the specific r-local pair {u, v}
-/// (including that {u, v} actually is an r-local minimal 2-cut).
-bool certifies_interesting(const Graph& g, Vertex v, Vertex u, int r);
-
-/// True iff some u makes v r-interesting.
-bool is_interesting(const Graph& g, Vertex v, int r);
+/// True iff some u makes v r-interesting, on the caller's scratch.
+bool is_interesting(const Graph& g, Vertex v, int r, CutScratch& scratch);
 
 /// Sorted list of all r-interesting vertices of g.
 std::vector<Vertex> interesting_vertices(const Graph& g, int r);
@@ -33,9 +28,6 @@ std::vector<Vertex> interesting_vertices(const Graph& g, int r);
 /// "interesting" and u is a "friend" of v (§5.3 wording: v interesting with
 /// friend u ⇔ the cut {v, u} is interesting for v).
 bool certifies_globally_interesting(const Graph& g, Vertex v, Vertex u);
-
-/// True iff some u makes v globally interesting.
-bool is_globally_interesting(const Graph& g, Vertex v);
 
 /// Sorted list of globally interesting vertices.
 std::vector<Vertex> globally_interesting_vertices(const Graph& g);

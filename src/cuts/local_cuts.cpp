@@ -1,11 +1,6 @@
 #include "cuts/local_cuts.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-
-#include "cuts/block_cut.hpp"
-#include "graph/bfs.hpp"
-#include "graph/ops.hpp"
 
 namespace lmds::cuts {
 
@@ -18,18 +13,23 @@ void require_radius(int r) {
 }  // namespace
 
 bool is_local_one_cut(const Graph& g, Vertex v, int r) {
+  CutScratch s;
+  return is_local_one_cut(g, v, r, s);
+}
+
+bool is_local_one_cut(const Graph& g, Vertex v, int r, CutScratch& scratch) {
   require_radius(r);
   if (!g.has_vertex(v)) throw std::invalid_argument("is_local_one_cut: bad vertex");
-  const auto ball_vertices = graph::ball(g, v, r);
-  const auto sub = graph::induced_subgraph(g, ball_vertices);
-  return is_cut_vertex(sub.graph, sub.from_parent[static_cast<std::size_t>(v)]);
+  // A cut vertex of the connected ball has a neighbour on each side.
+  return g.degree(v) >= 2 && pair_counts(g, v, v, r, scratch).full >= 2;
 }
 
 std::vector<Vertex> local_one_cuts(const Graph& g, int r) {
   require_radius(r);
+  CutScratch s;
   std::vector<Vertex> result;
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    if (is_local_one_cut(g, v, r)) result.push_back(v);
+    if (is_local_one_cut(g, v, r, s)) result.push_back(v);
   }
   return result;
 }
@@ -38,40 +38,34 @@ bool is_local_two_cut(const Graph& g, Vertex u, Vertex v, int r) {
   require_radius(r);
   if (u == v) return false;
   if (!g.has_vertex(u) || !g.has_vertex(v)) throw std::invalid_argument("is_local_two_cut: bad vertex");
-  const int d = graph::distance(g, u, v);
-  if (d < 0 || d > r) return false;
-  const Vertex sources[] = {u, v};
-  const auto ball_vertices = graph::ball_of_set(g, sources, r);
-  const auto sub = graph::induced_subgraph(g, ball_vertices);
-  return is_minimal_two_cut(sub.graph, sub.from_parent[static_cast<std::size_t>(u)],
-                            sub.from_parent[static_cast<std::size_t>(v)]);
+  CutScratch s;
+  const Vertex source[] = {u};
+  graph::mark_ball(g, source, r, s.bfs);
+  return s.bfs.seen(v) && pair_counts(g, u, v, r, s).full >= 2;
 }
 
 std::vector<VertexPair> local_two_cuts(const Graph& g, int r) {
   require_radius(r);
+  CutScratch s;
+  const BlockIndex blocks = block_index(g);
   std::vector<VertexPair> result;
   for (Vertex u = 0; u < g.num_vertices(); ++u) {
-    // Candidates are the vertices within distance r of u (with larger index,
-    // to emit each pair once).
-    for (Vertex v : graph::ball(g, u, r)) {
-      if (v <= u) continue;
-      if (is_local_two_cut(g, u, v, r)) result.push_back({u, v});
-    }
+    any_partner(g, blocks, u, r, s, [&](Vertex v) {
+      if (v > u && pair_counts(g, u, v, r, s).full >= 2) result.push_back({u, v});
+      return false;
+    });
   }
   return result;
 }
 
 std::vector<Vertex> vertices_in_local_two_cuts(const Graph& g, int r) {
-  std::vector<char> in(static_cast<std::size_t>(g.num_vertices()), 0);
-  for (const VertexPair p : local_two_cuts(g, r)) {
-    in[static_cast<std::size_t>(p.u)] = 1;
-    in[static_cast<std::size_t>(p.v)] = 1;
-  }
-  std::vector<Vertex> result;
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    if (in[static_cast<std::size_t>(v)]) result.push_back(v);
-  }
-  return result;
+  return vertices_of(local_two_cuts(g, r));
+}
+
+bool in_local_two_cut(const Graph& g, Vertex v, int r, CutScratch& scratch) {
+  return r >= 1 && any_partner(g, block_index(g), v, r, scratch, [&](Vertex u) {
+           return pair_counts(g, v, u, r, scratch).full >= 2;
+         });
 }
 
 }  // namespace lmds::cuts

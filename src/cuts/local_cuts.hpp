@@ -16,13 +16,13 @@
 #include <vector>
 
 #include "cuts/two_cuts.hpp"
-#include "graph/graph.hpp"
 
 namespace lmds::cuts {
 
 /// True iff {v} is an r-local (minimal) 1-cut: v is an articulation point of
-/// G[N^r[v]].
+/// G[N^r[v]]. The scratch overload is the per-thread hot path.
 bool is_local_one_cut(const Graph& g, Vertex v, int r);
+bool is_local_one_cut(const Graph& g, Vertex v, int r, CutScratch& scratch);
 
 /// Sorted list of all r-local 1-cut vertices of g.
 std::vector<Vertex> local_one_cuts(const Graph& g, int r);
@@ -37,5 +37,9 @@ std::vector<VertexPair> local_two_cuts(const Graph& g, int r);
 
 /// Sorted list of vertices appearing in some r-local minimal 2-cut.
 std::vector<Vertex> vertices_in_local_two_cuts(const Graph& g, int r);
+
+/// True iff v is in some r-local minimal 2-cut (false for r < 1): one vertex
+/// of vertices_in_local_two_cuts, on the caller's scratch.
+bool in_local_two_cut(const Graph& g, Vertex v, int r, CutScratch& scratch);
 
 }  // namespace lmds::cuts

@@ -2,30 +2,12 @@
 
 #include <algorithm>
 
-#include "graph/bfs.hpp"
-
 namespace lmds::cuts {
 
 int full_component_count(const Graph& g, Vertex u, Vertex v) {
   if (u == v || !g.has_vertex(u) || !g.has_vertex(v)) return 0;
-  const Vertex removed[] = {u, v};
-  const auto comps = graph::components_without(g, removed);
-  if (comps.count == 0) return 0;
-  std::vector<char> touches_u(static_cast<std::size_t>(comps.count), 0);
-  std::vector<char> touches_v(static_cast<std::size_t>(comps.count), 0);
-  for (Vertex w : g.neighbors(u)) {
-    const int c = comps.component[static_cast<std::size_t>(w)];
-    if (c >= 0) touches_u[static_cast<std::size_t>(c)] = 1;
-  }
-  for (Vertex w : g.neighbors(v)) {
-    const int c = comps.component[static_cast<std::size_t>(w)];
-    if (c >= 0) touches_v[static_cast<std::size_t>(c)] = 1;
-  }
-  int full = 0;
-  for (int c = 0; c < comps.count; ++c) {
-    if (touches_u[static_cast<std::size_t>(c)] && touches_v[static_cast<std::size_t>(c)]) ++full;
-  }
-  return full;
+  CutScratch s;
+  return pair_counts(g, u, v, -1, s).full;
 }
 
 bool is_minimal_two_cut(const Graph& g, Vertex u, Vertex v) {
@@ -43,16 +25,57 @@ std::vector<VertexPair> minimal_two_cuts(const Graph& g) {
 }
 
 std::vector<Vertex> vertices_in_minimal_two_cuts(const Graph& g) {
-  std::vector<char> in(static_cast<std::size_t>(g.num_vertices()), 0);
-  for (const VertexPair p : minimal_two_cuts(g)) {
-    in[static_cast<std::size_t>(p.u)] = 1;
-    in[static_cast<std::size_t>(p.v)] = 1;
-  }
+  return vertices_of(minimal_two_cuts(g));
+}
+
+std::vector<Vertex> vertices_of(const std::vector<VertexPair>& pairs) {
   std::vector<Vertex> result;
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    if (in[static_cast<std::size_t>(v)]) result.push_back(v);
-  }
+  for (const VertexPair p : pairs) result.insert(result.end(), {p.u, p.v});
+  std::sort(result.begin(), result.end());
+  result.erase(std::unique(result.begin(), result.end()), result.end());
   return result;
+}
+
+PairCounts pair_counts(const Graph& g, Vertex u, Vertex v, int r, CutScratch& s) {
+  // Flags of H's vertices: adjacent to u, to v; u, v or already labelled.
+  enum : std::uint8_t { kAdjU = 1, kAdjV = 2, kLabelled = 4 };
+  const auto flag = [&](Vertex x) -> std::uint8_t& { return s.flags[static_cast<std::size_t>(x)]; };
+  if (r < 0) {  // H = G: every vertex, reachable or not
+    s.bfs.begin(g.num_vertices());
+    for (Vertex w = 0; w < g.num_vertices(); ++w) s.bfs.mark(w, 0);
+  } else {
+    const Vertex sources[] = {u, v};
+    graph::mark_ball(g, sources, r, s.bfs);
+  }
+  s.flags.resize(std::max(s.flags.size(), static_cast<std::size_t>(g.num_vertices())));
+  for (const Vertex w : s.bfs.visited()) flag(w) = 0;
+  for (const Vertex w : g.neighbors(u)) flag(w) |= kAdjU;  // r != 0: N(u), N(v) ⊆ H
+  for (const Vertex w : g.neighbors(v)) flag(w) |= kAdjV;
+  flag(u) = flag(v) = kLabelled;
+  PairCounts c;
+  for (const Vertex start : s.bfs.visited()) {  // one component of H − {u, v} per start
+    if (flag(start) & kLabelled) continue;
+    flag(start) |= kLabelled;
+    s.stack.assign(1, start);
+    std::uint8_t any = 0;
+    std::uint8_t all = kAdjU | kAdjV;
+    while (!s.stack.empty()) {
+      const Vertex x = s.stack.back();
+      s.stack.pop_back();
+      any |= flag(x);
+      all &= flag(x);
+      for (const Vertex y : g.neighbors(x)) {
+        if (s.bfs.seen(y) && !(flag(y) & kLabelled)) {
+          flag(y) |= kLabelled;
+          s.stack.push_back(y);
+        }
+      }
+    }
+    c.full += (any & kAdjU) && (any & kAdjV);
+    c.nonadj_u += !(all & kAdjU);
+    c.nonadj_v += !(all & kAdjV);
+  }
+  return c;
 }
 
 }  // namespace lmds::cuts

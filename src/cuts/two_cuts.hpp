@@ -1,5 +1,6 @@
 #pragma once
-// Minimal 2-cuts (2-separators).
+// Minimal 2-cuts (2-separators), and pair_counts: the one kernel behind every
+// cut query (rejection rules and proofs: docs/ARCHITECTURE.md, "hot path").
 //
 // Convention (DESIGN.md §4): {u, v} is a *minimal* 2-cut iff at least two
 // connected components of G − {u, v} are adjacent to both u and v ("full"
@@ -7,15 +8,14 @@
 // use in the paper: no proper subset separates the same components, and in a
 // 2-connected graph it coincides with "removal disconnects".
 
-#include <utility>
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
-#include "graph/graph.hpp"
+#include "cuts/block_cut.hpp"
+#include "graph/bfs.hpp"
 
 namespace lmds::cuts {
-
-using graph::Graph;
-using graph::Vertex;
 
 /// Unordered vertex pair with u < v.
 struct VertexPair {
@@ -43,5 +43,46 @@ std::vector<VertexPair> minimal_two_cuts(const Graph& g);
 
 /// All vertices appearing in some minimal 2-cut of g.
 std::vector<Vertex> vertices_in_minimal_two_cuts(const Graph& g);
+
+/// Sorted distinct endpoints of `pairs`.
+std::vector<Vertex> vertices_of(const std::vector<VertexPair>& pairs);
+
+/// Per-thread arena of the cut kernels, under the graph::BfsScratch
+/// ownership rule: one thread at a time, reused across queries and graphs.
+struct CutScratch {
+  graph::BfsScratch bfs;
+  std::vector<std::uint8_t> flags;
+  std::vector<Vertex> stack;
+  std::vector<Vertex> partners;
+};
+
+/// Component counts of H − {u, v}, with H = G[N^r[{u, v}]] (r < 0: H = G).
+struct PairCounts {
+  int full = 0;      ///< components adjacent to both u and v
+  int nonadj_u = 0;  ///< components holding a vertex not adjacent to u
+  int nonadj_v = 0;  ///< components holding a vertex not adjacent to v
+};
+
+/// One marking of H and one component pass; u, v valid, r != 0. With
+/// u == v, `full` counts the components of G[N^r[v]] − v: in a ball around
+/// v each of them holds a neighbour of v.
+PairCounts pair_counts(const Graph& g, Vertex u, Vertex v, int r, CutScratch& s);
+
+/// Calls fn(u) for each u in N^r[v] \ {v}, ascending, that shares a block
+/// of `blocks` with v, until fn returns true; returns whether it did. fn may
+/// run pair_counts on the same scratch.
+template <typename Fn>
+bool any_partner(const Graph& g, const BlockIndex& blocks, Vertex v, int r, CutScratch& s,
+                 const Fn& fn) {
+  graph::ball_into(g, v, r, s.bfs, s.partners);
+  const std::vector<int>& mine = blocks[static_cast<std::size_t>(v)];
+  for (const Vertex u : s.partners) {
+    const std::vector<int>& other = blocks[static_cast<std::size_t>(u)];
+    const bool share =
+        std::find_first_of(mine.begin(), mine.end(), other.begin(), other.end()) != mine.end();
+    if (u != v && share && fn(u)) return true;
+  }
+  return false;
+}
 
 }  // namespace lmds::cuts

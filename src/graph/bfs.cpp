@@ -42,10 +42,18 @@ std::vector<int> bfs_kernel(const Graph& g, std::span<const Vertex> sources, int
   return dist;
 }
 
-// Radius-capped multi-source traversal into the caller's scratch; the shared
-// engine of ball_into / ball_of_set_into. Sources must be valid vertices.
+// Collects the marked ball, sorted; the shared tail of ball_into /
+// ball_of_set_into.
 void ball_kernel_into(const Graph& g, std::span<const Vertex> sources, int r,
                       BfsScratch& scratch, std::vector<Vertex>& out) {
+  mark_ball(g, sources, r, scratch);
+  out.assign(scratch.visited().begin(), scratch.visited().end());
+  std::sort(out.begin(), out.end());
+}
+
+}  // namespace
+
+void mark_ball(const Graph& g, std::span<const Vertex> sources, int r, BfsScratch& scratch) {
   scratch.begin(g.num_vertices());
   std::vector<Vertex>& current = scratch.current();
   std::vector<Vertex>& next = scratch.next();
@@ -69,11 +77,7 @@ void ball_kernel_into(const Graph& g, std::span<const Vertex> sources, int r,
     }
     std::swap(current, next);
   }
-  out.assign(scratch.visited().begin(), scratch.visited().end());
-  std::sort(out.begin(), out.end());
 }
-
-}  // namespace
 
 void ball_into(const Graph& g, Vertex v, int r, BfsScratch& scratch, std::vector<Vertex>& out) {
   const Vertex sources[] = {v};

@@ -72,6 +72,13 @@ class BfsScratch {
   std::vector<Vertex> next_;
 };
 
+/// Marks the ball N^r[S] in `scratch` without collecting it: afterwards
+/// seen/dist answer for exactly its members and visited() lists them in BFS
+/// order. r < 0 is unbounded. The engine of ball_into / ball_of_set_into,
+/// and of the cut kernels (cuts/two_cuts.hpp), which need no sorted
+/// copy.
+void mark_ball(const Graph& g, std::span<const Vertex> sources, int r, BfsScratch& scratch);
+
 /// Sorted ball N^r[v] written into `out` (cleared first) using the caller's
 /// scratch — the allocation-free variant of ball(). After the call,
 /// scratch.seen(u)/scratch.dist(u) answer membership and distance queries

@@ -7,11 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "api/graph_store.hpp"
 #include "api/registry.hpp"
@@ -921,6 +928,202 @@ TEST(ParamValue, BuiltinTwinRemovalIsBoolTyped) {
   const auto& reg = Registry::instance();
   EXPECT_EQ(reg.run("algorithm1", off_int), reg.run("algorithm1", off_bool));
 }
+
+// ---------------------------------------------------------------------------
+// Compact cache records: a hit expands the entry's record back into the
+// exact Response; snapshots keep the v2 bytes.
+
+// The entries of tests/data/cache_v2_golden.bin: a version-2 snapshot written
+// by the pre-record codec (every Response held whole) after inserting these
+// entries, in this order, into a cache of capacity 8. The golden test below
+// requires the same bytes back, so the snapshot and replication formats
+// cannot drift with the in-memory record layout.
+std::vector<std::pair<CacheKey, Response>> golden_cache_entries() {
+  std::vector<std::pair<CacheKey, Response>> out;
+
+  Response plain;  // an algorithm1-shaped answer
+  plain.solver = "algorithm1";
+  plain.solution = {0, 3, 4, 9, 17, 18, 40, 41, 42, 130};
+  plain.valid = true;
+  plain.diag.rounds = 14;
+  plain.diag.twin_classes = 131;
+  plain.diag.one_cuts = {3, 9, 40};
+  plain.diag.two_cut_vertices = {17, 130};
+  plain.diag.brute_forced = {0, 41};
+  plain.diag.residual_components = 2;
+  plain.diag.max_residual_diameter = 3;
+  out.push_back({{0x0123456789abcdefULL, "algorithm1", "radius1=4;radius2=4;t=5;|traffic=0;ratio=0", ""},
+                 plain});
+
+  Response measured = plain;  // ratio and traffic measured
+  measured.ratio = {10, 7, true, 10.0 / 7.0};
+  measured.ratio_measured = true;
+  measured.diag.traffic = {15, 123456789012ULL, std::numeric_limits<std::uint64_t>::max()};
+  measured.diag.traffic_measured = true;
+  out.push_back({{0xfedcba9876543210ULL, "algorithm1", "radius1=4;radius2=4;t=5;|traffic=1;ratio=1",
+                  "tenant-a"},
+                 measured});
+
+  Response odd;  // MVC, empty and non-monotone lists, extreme values
+  odd.solver = "not-the-key-solver";
+  odd.problem = Problem::Mvc;
+  odd.solution = {5, 2, 2, std::numeric_limits<std::int32_t>::max(), 0,
+                  std::numeric_limits<std::int32_t>::min(), -1};
+  odd.valid = false;
+  odd.ratio = {-3, 0, false, -0.0};
+  odd.diag.rounds = -1;
+  odd.diag.twin_classes = std::numeric_limits<std::int32_t>::min();
+  odd.diag.brute_forced = {7};
+  odd.diag.residual_components = -5;
+  out.push_back({{0, "theorem44-mvc", "t=4;|traffic=0;ratio=0", "tenant-b"}, odd});
+
+  Response empty;  // a default Response under a reused shape
+  out.push_back({{42, "algorithm1", "radius1=4;radius2=4;t=5;|traffic=0;ratio=0", ""}, empty});
+  return out;
+}
+
+std::string snapshot_bytes(const ResponseCache& cache) {
+  std::ostringstream out(std::ios::binary);
+  cache.serialize(out);
+  return out.str();
+}
+
+TEST(ResponseCache, EveryRegistrySolverRoundTripsThroughItsRecord) {
+  std::mt19937_64 rng(515);
+  const std::vector<Graph> graphs = {graph::gen::theta_chain(4, 3),
+                                     graph::gen::random_maximal_outerplanar(24, rng), Graph()};
+  const auto& reg = Registry::instance();
+  ResponseCache cache(1024);
+  std::uint64_t tag = 0;
+  for (const SolverSpec* spec : reg.specs()) {
+    for (const Graph& g : graphs) {
+      for (const bool measured : {false, true}) {
+        Request req;
+        req.graph = &g;
+        req.measure_ratio = measured;
+        req.measure_traffic = measured && spec->supports(Mode::Local);
+        const Response fresh = reg.run(spec->name, req);
+        const CacheKey key{++tag, spec->name,
+                           canonical_options(reg.resolve_options(spec->name, req),
+                                             req.measure_traffic, req.measure_ratio),
+                           ""};
+        cache.insert(key, fresh);
+        const auto hit = cache.lookup(key);
+        ASSERT_TRUE(hit.has_value()) << spec->name;
+        EXPECT_EQ(*hit, fresh) << spec->name << " on " << g.summary();
+      }
+    }
+  }
+}
+
+TEST(ResponseCache, RecordsKeepDenseListsAtEveryOffset) {
+  // Dense sorted lists take the bitmap form; span ends on and off byte
+  // boundaries, negative and extreme fronts, and a solution that is the
+  // union of the diag lists (stored once) or one vertex off it (stored).
+  constexpr Vertex kMax = std::numeric_limits<Vertex>::max();
+  constexpr Vertex kMin = std::numeric_limits<Vertex>::min();
+  ResponseCache cache(64);
+  std::uint64_t tag = 0;
+  for (const Vertex front : {Vertex{0}, Vertex{-13}, Vertex{7}, kMax - 40, kMin}) {
+    for (const int span : {1, 7, 8, 9, 16, 40}) {
+      Response r;
+      r.solver = "solver";
+      for (int i = 0; i <= span; i += (i % 3 == 2 ? 2 : 1)) {
+        r.diag.one_cuts.push_back(front + i);
+      }
+      r.diag.two_cut_vertices = {front + span};
+      r.solution = r.diag.one_cuts;
+      if (r.solution.back() != front + span) r.solution.push_back(front + span);
+      for (const bool off_union : {false, true}) {
+        if (off_union) r.solution.pop_back();
+        cache.insert(key_of(static_cast<int>(++tag)), r);
+        const auto hit = cache.lookup(key_of(static_cast<int>(tag)));
+        ASSERT_TRUE(hit.has_value());
+        EXPECT_EQ(*hit, r) << "front=" << front << " span=" << span << " off=" << off_union;
+      }
+    }
+  }
+}
+
+TEST(ResponseCache, RecordsKeepLongListsAroundThePlainThreshold) {
+  // Lists of 1,024 or more values are stored plain; shorter ones packed.
+  std::mt19937 rng(99);
+  ResponseCache cache(8);
+  int tag = 0;
+  for (const std::size_t n : {std::size_t{1023}, std::size_t{1024}, std::size_t{3000}}) {
+    Response r;
+    r.solver = "solver";
+    for (std::size_t i = 0; i < n; ++i) {
+      r.solution.push_back(static_cast<Vertex>(3 * i));
+      r.diag.one_cuts.push_back(static_cast<Vertex>(rng()));  // unsorted, any sign
+    }
+    cache.insert(key_of(++tag), r);
+    const auto hit = cache.lookup(key_of(tag));
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(*hit, r) << "n=" << n;
+  }
+}
+
+TEST(ResponseCache, SerializeDeserializeSerializeIsByteIdentical) {
+  ResponseCache cache(8);
+  for (const auto& [key, response] : golden_cache_entries()) cache.insert(key, response);
+  (void)cache.lookup(golden_cache_entries()[1].first);  // non-trivial recency
+  const std::string first = snapshot_bytes(cache);
+  std::istringstream in(first, std::ios::binary);
+  ResponseCache restored(8);
+  restored.deserialize(in);
+  EXPECT_EQ(snapshot_bytes(restored), first);
+}
+
+TEST(ResponseCache, GoldenVersion2SnapshotStillLoadsByteForByte) {
+  std::ifstream file(std::string(LMDS_TEST_DATA_DIR) + "/cache_v2_golden.bin", std::ios::binary);
+  ASSERT_TRUE(file) << "missing tests/data/cache_v2_golden.bin";
+  const std::string golden((std::istreambuf_iterator<char>(file)), std::istreambuf_iterator<char>());
+
+  // Written by the pre-record codec: loads, and writes back the same bytes.
+  std::istringstream in(golden, std::ios::binary);
+  ResponseCache loaded(8);
+  loaded.deserialize(in);
+  EXPECT_EQ(snapshot_bytes(loaded), golden);
+
+  // Inserting the same entries today yields the same bytes again.
+  ResponseCache fresh(8);
+  for (const auto& [key, response] : golden_cache_entries()) fresh.insert(key, response);
+  EXPECT_EQ(snapshot_bytes(fresh), golden);
+
+  for (const auto& [key, response] : golden_cache_entries()) {
+    const auto hit = loaded.lookup(key);
+    ASSERT_TRUE(hit.has_value()) << key.solver << " " << key.ns;
+    EXPECT_EQ(*hit, response);
+  }
+}
+
+#if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+// Heap bytes one cached answer costs: a solve-cold-shaped entry (algorithm1,
+// registry defaults, a 150-vertex in-class graph, one shared request shape)
+// must stay within 320 B — list node, sub-index node and record included.
+TEST(ResponseCache, SolveColdShapedEntryCostsAtMost320HeapBytes) {
+  std::mt19937_64 rng(20261017);
+  const Graph g = graph::gen::random_maximal_outerplanar(150, rng);
+  const auto& reg = Registry::instance();
+  Request req;
+  req.graph = &g;
+  const Response answer = reg.run("algorithm1", req);
+  CacheKey key{0, "algorithm1", canonical_options(reg.resolve_options("algorithm1", req), false, false),
+               ""};
+  constexpr std::size_t kEntries = 4096;
+  ResponseCache cache(kEntries);
+  cache.insert(key, answer);  // the shape and namespace exist before measuring
+  const std::size_t before = mallinfo2().uordblks;
+  for (std::size_t i = 1; i < kEntries; ++i) {
+    key.graph_hash = graph::mix64(i);
+    cache.insert(key, answer);
+  }
+  const std::size_t per_entry = (mallinfo2().uordblks - before) / (kEntries - 1);
+  EXPECT_LE(per_entry, 320u);
+  EXPECT_EQ(cache.stats().size, kEntries);
+}
+#endif
 
 }  // namespace
 }  // namespace lmds::api

@@ -543,8 +543,11 @@ TEST_F(RoutedClusterTest, PatchForwardsToParentOwnerAndChildStaysRouted) {
   // the location map — its content hash may belong elsewhere on the ring).
   const std::string solve =
       "{\"op\":\"solve\",\"solver\":\"greedy\",\"graphs\":[\"" + child + "\"]}";
-  const auto routed_pieces = split_raw_responses(raw_line_exchange(fd, reader, solve));
-  const auto single_pieces = split_raw_responses(ref.handle_line(solve));
+  // The pieces are views into these lines, which must outlive them.
+  const std::string routed_line = raw_line_exchange(fd, reader, solve);
+  const std::string single_line = ref.handle_line(solve);
+  const auto routed_pieces = split_raw_responses(routed_line);
+  const auto single_pieces = split_raw_responses(single_line);
   ASSERT_TRUE(routed_pieces.has_value());
   ASSERT_TRUE(single_pieces.has_value());
   EXPECT_EQ((*routed_pieces)[0], (*single_pieces)[0]);

@@ -14,6 +14,7 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/ops.hpp"
+#include "reference/cuts_reference.hpp"
 
 namespace lmds::cuts {
 namespace {
@@ -45,7 +46,7 @@ TEST(Articulation, MatchesBruteForce) {
     const auto fast = articulation_points(g);
     std::vector<Vertex> brute;
     for (Vertex v = 0; v < g.num_vertices(); ++v) {
-      if (is_cut_vertex(g, v)) brute.push_back(v);
+      if (reference::is_cut_vertex(g, v)) brute.push_back(v);
     }
     EXPECT_EQ(fast, brute);
   }
@@ -166,7 +167,7 @@ TEST(LocalCuts, EveryCycleVertexIsLocalOneCut) {
   const Graph g = graph::gen::cycle(30);
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
     EXPECT_TRUE(is_local_one_cut(g, v, 3)) << "v=" << v;
-    EXPECT_FALSE(is_cut_vertex(g, v));
+    EXPECT_FALSE(reference::is_cut_vertex(g, v));
   }
 }
 
@@ -185,7 +186,7 @@ TEST(LocalCuts, GlobalCutIsLocalCutAtLargeRadius) {
     const Graph g = graph::gen::random_connected(20, 5, rng);
     const int r = g.num_vertices();  // radius beyond diameter
     for (Vertex v = 0; v < g.num_vertices(); ++v) {
-      EXPECT_EQ(is_local_one_cut(g, v, r), is_cut_vertex(g, v));
+      EXPECT_EQ(is_local_one_cut(g, v, r), reference::is_cut_vertex(g, v));
     }
   }
 }

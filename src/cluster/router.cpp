@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -33,19 +34,44 @@ std::pair<std::string, int> parse_peer(const std::string& peer) {
   return {peer.substr(0, colon), port};
 }
 
-/// True when `line` parses as an {"ok":false,...} response with the given
-/// code. An unparseable line is not busy — it is a failure the caller wraps.
-bool is_busy_line(const std::string& line) {
-  try {
-    const JsonValue parsed = server::json_parse(line);
-    const JsonValue* ok = parsed.find("ok");
-    if (!ok || ok->type() != JsonValue::Type::Bool || ok->as_bool()) return false;
-    const JsonValue* code = parsed.find("code");
-    return code && code->type() == JsonValue::Type::String &&
-           code->as_string() == to_string(ErrorCode::ServerBusy);
-  } catch (const server::JsonError&) {
-    return false;
+/// One request/response line exchange on `client`; throws
+/// std::runtime_error naming the peer and `connection` when either fails.
+std::string round_trip(server::ProtocolClient& client, const std::string& peer,
+                       const char* connection, const std::string& line) {
+  if (!client.send_raw(line + "\n")) {
+    throw std::runtime_error("peer " + peer + " closed the " + connection);
   }
+  std::optional<std::string> response = client.read_raw_line();
+  if (!response) {
+    throw std::runtime_error("peer " + peer + " closed the " + connection +
+                             " before responding");
+  }
+  return *std::move(response);
+}
+
+/// An inline graph's content fingerprint, or std::nullopt when it does not
+/// decode (local dispatch then reports exactly what is wrong with it).
+std::optional<std::uint64_t> inline_hash(const JsonValue& g, const server::ServerLimits& limits) {
+  try {
+    return graph::graph_hash(server::decode_graph(g, limits));
+  } catch (const server::ProtocolError&) {
+    return std::nullopt;
+  }
+}
+
+/// `line` parsed, or null when it is not JSON.
+JsonValue parse_or_null(std::string_view line) {
+  try {
+    return server::json_parse(line);
+  } catch (const server::JsonError&) {
+    return {};
+  }
+}
+
+/// True when `reply` has a boolean "ok" member equal to `value`.
+bool ok_is(const JsonValue& reply, bool value) {
+  const JsonValue* ok = reply.find("ok");
+  return ok && ok->type() == JsonValue::Type::Bool && ok->as_bool() == value;
 }
 
 std::uint64_t diag_counter(const JsonValue& diag, const char* name) {
@@ -55,10 +81,13 @@ std::uint64_t diag_counter(const JsonValue& diag, const char* name) {
   return n > 0 ? static_cast<std::uint64_t>(n) : 0;
 }
 
-/// Folds one worker sub-response's "diag" object into the routed batch's
+/// Folds one worker solve line's "diag" object into the routed batch's
 /// merged diagnostics: concurrency highs are maxed, work counters summed.
-void merge_diag(api::BatchDiagnostics& out, const JsonValue& response) {
-  const JsonValue* diag = response.find("diag");
+/// Only `tail`, the line after its responses array, is parsed.
+void merge_diag(api::BatchDiagnostics& out, std::string_view tail) {
+  if (!tail.starts_with(',')) return;
+  const JsonValue members = parse_or_null("{" + std::string(tail.substr(1)));
+  const JsonValue* diag = members.find("diag");
   if (!diag || diag->type() != JsonValue::Type::Object) return;
   out.threads = std::max<int>(out.threads, static_cast<int>(diag_counter(*diag, "threads")));
   out.intra_threads =
@@ -79,10 +108,52 @@ struct SubBatch {
   std::vector<std::size_t> slots;
   std::uint64_t rep_hash = 0;  ///< first slot's fingerprint (failover order)
   bool has_handle = false;     ///< store-bound: cannot fail over
-  std::string line;            ///< the sub-request line
 };
 
 }  // namespace
+
+bool is_busy_line(std::string_view line) {
+  if (line.starts_with("{\"ok\":true")) return false;
+  const JsonValue parsed = parse_or_null(line);
+  const JsonValue* code = parsed.find("code");
+  return ok_is(parsed, false) && code && code->type() == JsonValue::Type::String &&
+         code->as_string() == to_string(ErrorCode::ServerBusy);
+}
+
+std::string write_request(const JsonValue& root, std::string_view op,
+                          std::optional<std::string_view> ns,
+                          const std::vector<std::size_t>* graph_slots) {
+  // root's members by reference, in json_dump's key order, with the
+  // substitutions swapped in; a null value stands for the cut-down graphs.
+  const JsonValue op_value(std::string{op});
+  const JsonValue ns_value(std::string{ns.value_or("")});
+  std::map<std::string_view, const JsonValue*> members;
+  for (const auto& [key, value] : root.as_object()) members.emplace(key, &value);
+  members.insert_or_assign("op", &op_value);
+  if (ns && ns->empty()) members.erase("namespace");
+  if (ns && !ns->empty()) members.insert_or_assign("namespace", &ns_value);
+  if (graph_slots) members.insert_or_assign("graphs", nullptr);
+
+  std::string out = "{";
+  for (const auto& [key, value] : members) {
+    if (out.size() > 1) out += ',';
+    server::json_append_string(out, key);
+    out += ':';
+    if (value) {
+      server::json_append_value(out, *value);
+      continue;
+    }
+    const JsonValue::Array& all = root.find("graphs")->as_array();
+    out += '[';
+    for (std::size_t j = 0; j < graph_slots->size(); ++j) {
+      if (j) out += ',';
+      server::json_append_value(out, all[(*graph_slots)[j]]);
+    }
+    out += ']';
+  }
+  out += '}';
+  return out;
+}
 
 std::optional<std::vector<std::string_view>> split_raw_responses(std::string_view line) {
   constexpr std::string_view kPrefix = "{\"ok\":true,\"op\":\"solve\",\"responses\":[";
@@ -176,36 +247,23 @@ std::string Router::exchange_pooled(std::size_t peer, const std::string& line) {
   forwards_[peer]->fetch_add(1, std::memory_order_relaxed);
   // An error path drops the client (its stream state is unknown); only a
   // clean round trip returns the connection to the pool.
-  if (!client->send_raw(line + "\n")) {
-    throw std::runtime_error("peer " + opts_.peers[peer] + " closed the connection");
-  }
-  std::optional<std::string> response = client->read_raw_line();
-  if (!response) {
-    throw std::runtime_error("peer " + opts_.peers[peer] +
-                             " closed the connection before responding");
-  }
+  std::string response = round_trip(*client, opts_.peers[peer], "connection", line);
   release(peer, std::move(client));
-  return *std::move(response);
+  return response;
 }
 
 std::string Router::exchange_control(std::size_t peer, const std::string& line) {
   common::MutexLock lock(control_mu_);
   if (!control_[peer]) control_[peer] = dial(peer);
   forwards_[peer]->fetch_add(1, std::memory_order_relaxed);
-  // A failed control connection resets to null so the next verb re-dials —
-  // which starts a fresh worker-side session, releasing the old one's pins
-  // (the graphs stay in the store, unpinned).
-  if (!control_[peer]->send_raw(line + "\n")) {
+  try {
+    return round_trip(*control_[peer], opts_.peers[peer], "control connection", line);
+  } catch (const std::runtime_error&) {
+    // Reset so the next verb re-dials — which starts a fresh worker-side
+    // session, releasing the old one's pins (the graphs stay, unpinned).
     control_[peer].reset();
-    throw std::runtime_error("peer " + opts_.peers[peer] + " closed the control connection");
+    throw;
   }
-  std::optional<std::string> response = control_[peer]->read_raw_line();
-  if (!response) {
-    control_[peer].reset();
-    throw std::runtime_error("peer " + opts_.peers[peer] +
-                             " closed the control connection before responding");
-  }
-  return *std::move(response);
 }
 
 std::string Router::forward(const std::vector<std::size_t>& preference, bool can_fail_over,
@@ -243,7 +301,7 @@ std::optional<std::string> Router::route(server::Session& session, std::string_v
   if (root.type() != JsonValue::Type::Object) return std::nullopt;
   if (verb == "solve") return route_solve(session, root);
   if (verb == "put_graph") return route_put(root);
-  if (verb == "patch_graph") return route_patch(session, root);
+  if (verb == "patch_graph") return route_patch(root);
   if (verb == "drop_graph") return route_drop(root);
   if (verb == "stats") return route_stats(session, root);
   return std::nullopt;  // solvers/open_session/replicate_*/... stay local
@@ -287,119 +345,66 @@ std::optional<std::string> Router::route_solve(server::Session& session,
   std::vector<SubBatch> subs;
   std::vector<std::size_t> sub_of_peer(ring_.size(), SIZE_MAX);
   for (std::size_t slot = 0; slot < slots.size(); ++slot) {
-    std::uint64_t hash = 0;
-    bool is_handle = false;
-    if (slots[slot].type() == JsonValue::Type::String) {
-      const std::optional<std::uint64_t> parsed =
-          api::GraphStore::parse_handle(slots[slot].as_string());
-      if (!parsed) return std::nullopt;
-      hash = *parsed;
-      is_handle = true;
-    } else if (slots[slot].type() == JsonValue::Type::Object) {
-      try {
-        // Decoding here is not wasted work: the fingerprint IS the routing
-        // key, and it is what gives repeated inline graphs cache affinity
-        // (the same graph always lands on the same warm worker).
-        hash = graph::graph_hash(server::decode_graph(slots[slot], limits));
-      } catch (const server::ProtocolError&) {
-        return std::nullopt;
-      }
-    } else {
-      return std::nullopt;
-    }
+    // Decoding an inline graph is not wasted work: the fingerprint IS the
+    // routing key, and it is what gives repeated inline graphs cache
+    // affinity (the same graph always lands on the same warm worker).
+    const bool is_handle = slots[slot].type() == JsonValue::Type::String;
+    const std::optional<std::uint64_t> hash =
+        is_handle ? api::GraphStore::parse_handle(slots[slot].as_string())
+                  : inline_hash(slots[slot], limits);
+    if (!hash) return std::nullopt;
     const std::size_t peer =
-        is_handle ? locate_handle(slots[slot].as_string(), hash) : ring_.owner_index(hash);
+        is_handle ? locate_handle(slots[slot].as_string(), *hash) : ring_.owner_index(*hash);
     if (sub_of_peer[peer] == SIZE_MAX) {
       sub_of_peer[peer] = subs.size();
-      SubBatch sub;
-      sub.peer = peer;
-      sub.rep_hash = hash;
-      subs.push_back(std::move(sub));
+      subs.push_back({.peer = peer, .slots = {}, .rep_hash = *hash, .has_handle = false});
     }
     SubBatch& sub = subs[sub_of_peer[peer]];
     sub.slots.push_back(slot);
     sub.has_handle = sub.has_handle || is_handle;
   }
 
-  // Build each peer's sub-request: the client's request verbatim (solver,
-  // options, measure flags, batch overrides all ride along — json_dump
-  // canonicalizes, which is fine for REQUESTS; workers parse them) with the
-  // graphs array cut down to the peer's slots and the namespace pinned
-  // explicitly (pooled connections are namespace-less).
-  for (SubBatch& sub : subs) {
-    JsonValue::Object obj = root.type() == JsonValue::Type::Object ? root.as_object()
-                                                                   : JsonValue::Object{};
-    obj.insert_or_assign("op", JsonValue(std::string("solve")));
-    JsonValue::Array mine;
-    mine.reserve(sub.slots.size());
-    for (const std::size_t slot : sub.slots) mine.push_back(slots[slot]);
-    obj.insert_or_assign("graphs", JsonValue(std::move(mine)));
-    if (!ns.empty()) {
-      obj.insert_or_assign("namespace", JsonValue(ns));
-    } else {
-      obj.erase("namespace");
-    }
-    sub.line = server::json_dump(JsonValue(std::move(obj)));
-  }
-
-  // Fan out: thread-per-peer (bounded by the ring size), each sub-batch
+  // Fan out: a thread per peer (bounded by the ring size), each sub-batch
   // running the full retry/failover policy independently. Store-bound
-  // sub-batches cannot fail over — only the owner holds their graphs.
+  // sub-batches cannot fail over — only the owner holds their graphs. Each
+  // sub-request is the client's request (solver, options, measure flags,
+  // batch overrides all ride along, canonicalized — fine for REQUESTS;
+  // workers parse them) with the graphs array cut down to the peer's slots
+  // and the namespace pinned explicitly (pooled connections are
+  // namespace-less).
   std::vector<std::string> raw(subs.size());
   const auto run_one = [&](std::size_t i) {
     const SubBatch& sub = subs[i];
     const std::vector<std::size_t> preference =
         sub.has_handle ? std::vector<std::size_t>{sub.peer} : ring_.preference(sub.rep_hash);
     raw[i] = forward(preference, /*can_fail_over=*/!sub.has_handle, /*control=*/false,
-                     sub.line);
+                     write_request(root, "solve", ns, &sub.slots));
   };
-  if (subs.size() == 1) {
-    run_one(0);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(subs.size());
-    for (std::size_t i = 0; i < subs.size(); ++i) threads.emplace_back(run_one, i);
-    for (std::thread& t : threads) t.join();
-  }
+  std::vector<std::thread> threads;  // sub-batch 0 runs on this thread
+  for (std::size_t i = 1; i < subs.size(); ++i) threads.emplace_back(run_one, i);
+  run_one(0);
+  for (std::thread& t : threads) t.join();
 
   // Any failed sub-batch fails the whole request — the same all-or-nothing
   // contract a single server gives a batch. Report the failure owning the
-  // EARLIEST slot, the one a single server would have hit first.
+  // EARLIEST slot, the one a single server would have hit first: subs are
+  // in order of their first slots.
   std::vector<std::string_view> ordered(slots.size());
   api::BatchDiagnostics diag;
   diag.threads = 0;  // maxed from sub-responses below
-  std::size_t error_sub = SIZE_MAX;
-  std::size_t error_slot = slots.size();
   for (std::size_t i = 0; i < subs.size(); ++i) {
     const std::optional<std::vector<std::string_view>> pieces = split_raw_responses(raw[i]);
     if (!pieces || pieces->size() != subs[i].slots.size()) {
-      if (subs[i].slots.front() < error_slot) {
-        error_slot = subs[i].slots.front();
-        error_sub = i;
-      }
-      continue;
+      // A well-formed worker error line passes through verbatim.
+      if (ok_is(parse_or_null(raw[i]), false)) return raw[i];
+      return server::encode_error(ErrorCode::IoError,
+                                  "peer " + opts_.peers[subs[i].peer] +
+                                      " returned an unusable solve response for this batch");
     }
     for (std::size_t j = 0; j < pieces->size(); ++j) ordered[subs[i].slots[j]] = (*pieces)[j];
-    try {
-      merge_diag(diag, server::json_parse(raw[i]));
-    } catch (const server::JsonError&) {
-      // split_raw_responses accepted it, so this cannot happen; a diag-less
-      // merge is still a complete answer.
-    }
-  }
-  if (error_sub != SIZE_MAX) {
-    const std::string& line = raw[error_sub];
-    try {
-      const JsonValue parsed = server::json_parse(line);
-      const JsonValue* ok = parsed.find("ok");
-      if (ok && ok->type() == JsonValue::Type::Bool && !ok->as_bool()) {
-        return line;  // a well-formed worker error line passes through verbatim
-      }
-    } catch (const server::JsonError&) {
-    }
-    return server::encode_error(
-        ErrorCode::IoError, "peer " + opts_.peers[subs[error_sub].peer] +
-                                " returned an unusable solve response for this batch");
+    const std::string_view last = pieces->back();
+    merge_diag(diag, std::string_view(raw[i]).substr(
+                         static_cast<std::size_t>(last.data() + last.size() - raw[i].data()) + 1));
   }
   if (diag.threads == 0) diag.threads = 1;
   core_.count_graphs(slots.size());
@@ -409,48 +414,32 @@ std::optional<std::string> Router::route_solve(server::Session& session,
 std::optional<std::string> Router::route_put(const JsonValue& root) {
   const JsonValue* graph_member = root.find("graph");
   if (!graph_member) return std::nullopt;
-  std::uint64_t hash = 0;
-  try {
-    hash = graph::graph_hash(server::decode_graph(*graph_member, core_.options().limits));
-  } catch (const server::ProtocolError&) {
-    return std::nullopt;  // local dispatch reports the malformed graph
-  }
-  JsonValue::Object obj = root.as_object();
-  obj.insert_or_assign("op", JsonValue(std::string("put_graph")));
+  const std::optional<std::uint64_t> hash = inline_hash(*graph_member, core_.options().limits);
+  if (!hash) return std::nullopt;
   // Content-addressed placement: the handle the worker will mint IS this
   // fingerprint, so no put location needs remembering — the ring re-derives
   // the owner from any future handle. No failover: a graph stored on a
   // non-owner would be unreachable to routing.
-  const std::size_t peer = ring_.owner_index(hash);
+  const std::size_t peer = ring_.owner_index(*hash);
   return forward({peer}, /*can_fail_over=*/false, /*control=*/true,
-                 server::json_dump(JsonValue(std::move(obj))));
+                 write_request(root, "put_graph"));
 }
 
-std::optional<std::string> Router::route_patch(server::Session& session,
-                                               const JsonValue& root) {
-  (void)session;
+std::optional<std::string> Router::route_patch(const JsonValue& root) {
   const JsonValue* handle = root.find("handle");
   if (!handle || handle->type() != JsonValue::Type::String) return std::nullopt;
   const std::optional<std::uint64_t> hash = api::GraphStore::parse_handle(handle->as_string());
   if (!hash) return std::nullopt;
-  JsonValue::Object obj = root.as_object();
-  obj.insert_or_assign("op", JsonValue(std::string("patch_graph")));
   // The PARENT's owner applies the patch (it holds the adjacency the child
   // structurally shares). The child's content hash need not land on the same
   // ring segment, so its true location goes into the location map.
   const std::size_t peer = locate_handle(handle->as_string(), *hash);
-  const std::string response =
-      forward({peer}, /*can_fail_over=*/false, /*control=*/true,
-              server::json_dump(JsonValue(std::move(obj))));
-  try {
-    const JsonValue parsed = server::json_parse(response);
-    const JsonValue* ok = parsed.find("ok");
-    const JsonValue* child = parsed.find("handle");
-    if (ok && ok->type() == JsonValue::Type::Bool && ok->as_bool() && child &&
-        child->type() == JsonValue::Type::String) {
-      record_location(child->as_string(), peer);
-    }
-  } catch (const server::JsonError&) {
+  const std::string response = forward({peer}, /*can_fail_over=*/false, /*control=*/true,
+                                       write_request(root, "patch_graph"));
+  const JsonValue parsed = parse_or_null(response);
+  const JsonValue* child = parsed.find("handle");
+  if (ok_is(parsed, true) && child && child->type() == JsonValue::Type::String) {
+    record_location(child->as_string(), peer);
   }
   return response;
 }
@@ -460,12 +449,9 @@ std::optional<std::string> Router::route_drop(const JsonValue& root) {
   if (!handle || handle->type() != JsonValue::Type::String) return std::nullopt;
   const std::optional<std::uint64_t> hash = api::GraphStore::parse_handle(handle->as_string());
   if (!hash) return std::nullopt;
-  JsonValue::Object obj = root.as_object();
-  obj.insert_or_assign("op", JsonValue(std::string("drop_graph")));
   const std::size_t peer = locate_handle(handle->as_string(), *hash);
-  const std::string response =
-      forward({peer}, /*can_fail_over=*/false, /*control=*/true,
-              server::json_dump(JsonValue(std::move(obj))));
+  const std::string response = forward({peer}, /*can_fail_over=*/false, /*control=*/true,
+                                       write_request(root, "drop_graph"));
   {
     // Whatever the outcome, the location entry is stale or useless now.
     common::MutexLock lock(loc_mu_);

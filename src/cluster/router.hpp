@@ -67,6 +67,20 @@ struct RouterOptions {
 /// is what routed bit-identity rests on.
 std::optional<std::vector<std::string_view>> split_raw_responses(std::string_view line);
 
+/// True for a worker's {"ok":false,"code":"server_busy",...} line. A line
+/// that begins {"ok":true is not parsed and never busy, whatever a later
+/// duplicate "ok" says; nor is an unparseable one. Exposed for tests.
+bool is_busy_line(std::string_view line);
+
+/// The line the router forwards for request `root`: json_dump of a copy of
+/// `root` with "op" set to `op`, "namespace" to `*ns` (removed if empty)
+/// when `ns` is given, and "graphs" cut down to the elements at
+/// `*graph_slots` when given — but written without copying `root`.
+/// Exposed for tests.
+std::string write_request(const server::JsonValue& root, std::string_view op,
+                          std::optional<std::string_view> ns = std::nullopt,
+                          const std::vector<std::size_t>* graph_slots = nullptr);
+
 class Router {
  public:
   /// `core` must outlive the Router. Call install() to take over dispatch.
@@ -115,8 +129,7 @@ class Router {
   std::optional<std::string> route_solve(server::Session& session,
                                          const server::JsonValue& root);
   std::optional<std::string> route_put(const server::JsonValue& root);
-  std::optional<std::string> route_patch(server::Session& session,
-                                         const server::JsonValue& root);
+  std::optional<std::string> route_patch(const server::JsonValue& root);
   std::optional<std::string> route_drop(const server::JsonValue& root);
   std::string route_stats(server::Session& session, const server::JsonValue& root);
 

@@ -1,6 +1,7 @@
 #pragma once
-// Mutable builder for Graph. Accumulates edges (duplicates and both
-// orientations are fine), then produces the immutable CSR Graph.
+// Mutable builder for Graph. Accumulates a flat edge list (duplicates and
+// both orientations are fine), then assembles the immutable CSR Graph
+// directly from it.
 
 #include <vector>
 
@@ -19,10 +20,10 @@ class GraphBuilder {
   GraphBuilder() = default;
 
   /// Pre-creates n isolated vertices 0..n-1.
-  explicit GraphBuilder(int n) : adjacency_(static_cast<std::size_t>(n)) {}
+  explicit GraphBuilder(int n) : n_(n) {}
 
   /// Number of vertices currently allocated.
-  int num_vertices() const { return static_cast<int>(adjacency_.size()); }
+  int num_vertices() const { return n_; }
 
   /// Adds a new isolated vertex and returns its index.
   Vertex add_vertex();
@@ -41,11 +42,14 @@ class GraphBuilder {
   /// Convenience: adds a cycle along the given vertices (requires >= 3).
   void add_cycle(const std::vector<Vertex>& vertices);
 
-  /// Produces the immutable graph. The builder remains usable afterwards.
+  /// Produces the immutable graph: counts degrees, fills the CSR rows in
+  /// one pass over the edges, then sorts and de-duplicates each row in
+  /// place. The builder remains usable afterwards.
   Graph build() const;
 
  private:
-  std::vector<std::vector<Vertex>> adjacency_;
+  int n_ = 0;
+  std::vector<Edge> edges_;  // as added: either orientation, repeats allowed
 };
 
 }  // namespace lmds::graph

@@ -1,20 +1,46 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <stdexcept>
 
 namespace lmds::graph {
 
+namespace detail {
+
+void compact_rows(std::vector<std::size_t>& offsets, std::vector<Vertex>& neighbors) {
+  std::size_t out = 0;
+  for (std::size_t v = 0; v + 1 < offsets.size(); ++v) {
+    const auto begin = static_cast<std::ptrdiff_t>(offsets[v]);
+    const auto end = static_cast<std::ptrdiff_t>(offsets[v + 1]);
+    std::sort(neighbors.begin() + begin, neighbors.begin() + end);
+    offsets[v] = out;
+    for (auto i = begin; i < end; ++i) {
+      const Vertex w = neighbors[static_cast<std::size_t>(i)];
+      if (out == offsets[v] || neighbors[out - 1] != w) neighbors[out++] = w;
+    }
+  }
+  offsets.back() = out;
+  if (out < neighbors.size()) {
+    neighbors.resize(out);
+    neighbors.shrink_to_fit();
+  }
+}
+
+}  // namespace detail
+
 Graph::Graph(const std::vector<std::vector<Vertex>>& adjacency) {
   const auto n = adjacency.size();
   offsets_.assign(n + 1, 0);
+  for (std::size_t v = 0; v < n; ++v) offsets_[v + 1] = offsets_[v] + adjacency[v].size();
+  neighbors_.reserve(offsets_[n]);
+  for (const std::vector<Vertex>& row : adjacency) {
+    neighbors_.insert(neighbors_.end(), row.begin(), row.end());
+  }
+  detail::compact_rows(offsets_, neighbors_);
 
-  std::vector<std::vector<Vertex>> sorted(n);
   for (std::size_t v = 0; v < n; ++v) {
-    sorted[v] = adjacency[v];
-    std::sort(sorted[v].begin(), sorted[v].end());
-    sorted[v].erase(std::unique(sorted[v].begin(), sorted[v].end()), sorted[v].end());
-    for (Vertex w : sorted[v]) {
+    for (Vertex w : neighbors(static_cast<Vertex>(v))) {
       if (w < 0 || static_cast<std::size_t>(w) >= n) {
         throw std::invalid_argument("Graph: neighbor index out of range");
       }
@@ -22,12 +48,6 @@ Graph::Graph(const std::vector<std::vector<Vertex>>& adjacency) {
         throw std::invalid_argument("Graph: self-loop not allowed");
       }
     }
-    offsets_[v + 1] = offsets_[v] + sorted[v].size();
-  }
-
-  neighbors_.reserve(offsets_[n]);
-  for (std::size_t v = 0; v < n; ++v) {
-    neighbors_.insert(neighbors_.end(), sorted[v].begin(), sorted[v].end());
   }
 
   // Enforce symmetry.

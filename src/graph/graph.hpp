@@ -121,13 +121,21 @@ namespace detail {
 /// assemble offsets/neighbors arrays guaranteed to satisfy the Graph
 /// invariants by construction (the CSR-native induced-subgraph and ball-view
 /// extraction: relabelling is monotone, so copied rows stay sorted, and
-/// edges are taken from an already-valid graph). Anything that cannot prove
-/// the invariants must go through a validating constructor instead.
+/// edges are taken from an already-valid graph; GraphBuilder::build, whose
+/// rows hold both orientations of every loop-free edge). Anything that
+/// cannot prove the invariants must go through a validating constructor
+/// instead.
 struct TrustedCsr {
   static Graph build(std::vector<std::size_t> offsets, std::vector<Vertex> neighbors) {
     return Graph(std::move(offsets), std::move(neighbors));
   }
 };
+
+/// The CSR assembly step shared by GraphBuilder::build and
+/// Graph(adjacency): sorts and de-duplicates each row of a CSR whose rows
+/// may hold repeats, in place, closing the gaps and rewriting `offsets`.
+/// Checks nothing else.
+void compact_rows(std::vector<std::size_t>& offsets, std::vector<Vertex>& neighbors);
 
 }  // namespace detail
 

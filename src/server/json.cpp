@@ -2,7 +2,9 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
+#include <iterator>
 
 namespace lmds::server {
 
@@ -87,6 +89,7 @@ class Parser {
  private:
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::vector<JsonValue> stack_;  // open arrays' parsed elements, innermost last
 
   [[noreturn]] void fail(const std::string& what) const {
     throw JsonError(what + " at byte " + std::to_string(pos_));
@@ -162,16 +165,20 @@ class Parser {
     }
   }
 
+  // Elements are parsed onto stack_, shared by every nesting level (an
+  // inner array finishes and pops its own elements before the outer one
+  // pushes again), then moved into an Array of exactly their count: one
+  // allocation per array instead of one per capacity doubling.
   JsonValue parse_array(int depth) {
     expect('[');
-    JsonValue::Array arr;
     skip_ws();
     if (!eof() && peek() == ']') {
       ++pos_;
-      return JsonValue(std::move(arr));
+      return JsonValue(JsonValue::Array{});
     }
+    const std::size_t base = stack_.size();
     while (true) {
-      arr.push_back(parse_value(depth + 1));
+      stack_.push_back(parse_value(depth + 1));
       skip_ws();
       if (eof()) fail("unterminated array");
       if (peek() == ',') {
@@ -179,6 +186,9 @@ class Parser {
         continue;
       }
       expect(']');
+      const auto first = stack_.begin() + static_cast<std::ptrdiff_t>(base);
+      JsonValue::Array arr(std::make_move_iterator(first), std::make_move_iterator(stack_.end()));
+      stack_.erase(first, stack_.end());
       return JsonValue(std::move(arr));
     }
   }
@@ -334,9 +344,7 @@ void json_append_double(std::string& out, double v) {
   out.append(buf, ptr);
 }
 
-namespace {
-
-void dump_value(std::string& out, const JsonValue& v) {
+void json_append_value(std::string& out, const JsonValue& v) {
   switch (v.type()) {
     case JsonValue::Type::Null: out += "null"; break;
     case JsonValue::Type::Bool: out += v.as_bool() ? "true" : "false"; break;
@@ -349,7 +357,7 @@ void dump_value(std::string& out, const JsonValue& v) {
       for (const JsonValue& item : v.as_array()) {
         if (!first) out += ',';
         first = false;
-        dump_value(out, item);
+        json_append_value(out, item);
       }
       out += ']';
       break;
@@ -362,7 +370,7 @@ void dump_value(std::string& out, const JsonValue& v) {
         first = false;
         json_append_string(out, key);
         out += ':';
-        dump_value(out, value);
+        json_append_value(out, value);
       }
       out += '}';
       break;
@@ -370,11 +378,9 @@ void dump_value(std::string& out, const JsonValue& v) {
   }
 }
 
-}  // namespace
-
 std::string json_dump(const JsonValue& v) {
   std::string out;
-  dump_value(out, v);
+  json_append_value(out, v);
   return out;
 }
 

@@ -78,11 +78,14 @@ void json_append_string(std::string& out, std::string_view s);
 /// (std::to_chars — never a decimal comma). Non-finite values emit null.
 void json_append_double(std::string& out, double v);
 
+/// Appends `v` as compact JSON, exactly the bytes json_dump returns for it.
+void json_append_value(std::string& out, const JsonValue& v);
+
 /// Serializes a parsed value back to compact JSON (no whitespace). Object
 /// members emit in std::map order, i.e. sorted by key — NOT the original
 /// wire order, so a parse→dump round trip is canonicalizing, not
-/// byte-preserving. The router therefore never dumps whole responses (their
-/// bit-identity is contractual); it dumps the small values it builds itself.
+/// byte-preserving. The router therefore never dumps responses (their
+/// bit-identity is contractual); it writes only requests this way.
 std::string json_dump(const JsonValue& v);
 
 }  // namespace lmds::server

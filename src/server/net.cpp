@@ -117,70 +117,69 @@ bool send_all(int fd, std::string_view data) {
 std::optional<std::string> LineReader::next_line(std::size_t max_bytes) {
   if (oversized_) return std::nullopt;
   while (true) {
-    const std::size_t nl = buffer_.find('\n');
+    const std::size_t nl = buffer_.find('\n', pos_ + scanned_);
     if (nl != std::string::npos) {
-      std::string line = buffer_.substr(0, nl);
-      buffer_.erase(0, nl + 1);
+      std::string line = buffer_.substr(pos_, nl - pos_);
+      pos_ = nl + 1;
+      scanned_ = 0;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       return line;
     }
-    if (buffer_.size() > max_bytes) {
+    scanned_ = buffer_.size() - pos_;  // no '\n' there: search only new bytes
+    if (scanned_ > max_bytes) {
       oversized_ = true;
       return std::nullopt;
     }
     if (eof_) {
       // Trailing data without a final newline still counts as a line.
-      if (buffer_.empty()) return std::nullopt;
-      std::string line = std::move(buffer_);
+      if (scanned_ == 0) return std::nullopt;
+      std::string line = buffer_.substr(pos_);
       buffer_.clear();
+      pos_ = scanned_ = 0;
       return line;
     }
-    char chunk[65536];
-    const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // SO_RCVTIMEO expired: the fd is still usable, report "no line" but
-        // remember why so the caller can tell silence from a closed peer.
-        timed_out_ = true;
-        return std::nullopt;
-      }
-      eof_ = true;  // connection error: treat as EOF
-      continue;
-    }
-    if (n == 0) {
-      eof_ = true;
-      continue;
-    }
-    timed_out_ = false;
-    buffer_.append(chunk, static_cast<std::size_t>(n));
+    if (!fill()) return std::nullopt;
   }
 }
 
 std::optional<std::string> LineReader::read_exact(std::size_t n) {
-  while (buffer_.size() < n && !eof_) {
-    char chunk[65536];
-    const ssize_t got = ::recv(fd_, chunk, sizeof chunk, 0);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        timed_out_ = true;
-        return std::nullopt;
-      }
-      eof_ = true;
-      break;
-    }
-    if (got == 0) {
-      eof_ = true;
-      break;
-    }
-    timed_out_ = false;
-    buffer_.append(chunk, static_cast<std::size_t>(got));
+  while (buffer_.size() - pos_ < n && !eof_) {
+    if (!fill()) return std::nullopt;
   }
-  if (buffer_.size() < n) return std::nullopt;  // peer closed mid-body
-  std::string out = buffer_.substr(0, n);
-  buffer_.erase(0, n);
+  if (buffer_.size() - pos_ < n) return std::nullopt;  // peer closed mid-body
+  std::string out = buffer_.substr(pos_, n);
+  pos_ += n;
+  scanned_ = 0;
   return out;
+}
+
+bool LineReader::fill() {
+  char chunk[65536];
+  ssize_t n = 0;
+  do {
+    n = ::recv(fd_, chunk, sizeof chunk, 0);
+  } while (n < 0 && errno == EINTR);
+  if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+    // SO_RCVTIMEO expired: the fd is still usable, report "no line" but
+    // remember why so the caller can tell silence from a closed peer.
+    timed_out_ = true;
+    return false;
+  }
+  if (n <= 0) {
+    eof_ = true;  // a connection error counts as EOF
+    return true;
+  }
+  timed_out_ = false;
+  // Drop the consumed prefix once it is at least as long as the unread
+  // rest: each compaction moves no more bytes than it discards, so the
+  // bytes ever moved never exceed the bytes ever consumed.
+  if (pos_ > 0 && pos_ >= buffer_.size() - pos_) {
+    bytes_moved_ += buffer_.size() - pos_;
+    buffer_.erase(0, pos_);
+    pos_ = 0;
+  }
+  buffer_.append(chunk, static_cast<std::size_t>(n));
+  return true;
 }
 
 void close_fd(int fd) {

@@ -33,6 +33,10 @@ bool send_all(int fd, std::string_view data);
 
 /// Incremental newline-delimited reader over one fd. Reads in chunks,
 /// buffers the remainder, hands back complete lines without the '\n'.
+/// Cost per input byte is bounded: a read cursor consumes lines without
+/// moving the buffer, the search for '\n' covers only bytes not searched
+/// before, and the consumed prefix is compacted away only once it is at
+/// least as long as the unread rest.
 ///
 /// Deliberately unsynchronized (no mutex, no annotations): a LineReader is
 /// owned by exactly one connection thread for its whole life. A concurrent
@@ -61,9 +65,20 @@ class LineReader {
   /// fatal (ProtocolClient treats it as io_error) or retryable.
   bool timed_out() const { return timed_out_; }
 
+  /// Unread bytes moved to the buffer front by compaction, over the
+  /// reader's life. Never more than the bytes consumed so far.
+  std::size_t bytes_moved() const { return bytes_moved_; }
+
  private:
+  /// Appends one recv(2) chunk to the buffer, compacting first. False on an
+  /// I/O timeout (timed_out_ set); EOF and errors set eof_ and return true.
+  bool fill();
+
   int fd_;
   std::string buffer_;
+  std::size_t pos_ = 0;      // first unconsumed byte of buffer_
+  std::size_t scanned_ = 0;  // bytes from pos_ already searched for '\n'
+  std::size_t bytes_moved_ = 0;
   bool eof_ = false;
   bool oversized_ = false;
   bool timed_out_ = false;

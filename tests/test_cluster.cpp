@@ -161,6 +161,79 @@ TEST(SplitRawResponses, RejectsNonSolveAndTruncatedLines) {
 }
 
 // ---------------------------------------------------------------------------
+// Worker response classification and sub-request lines
+
+TEST(RouterLines, BusyOnlyForAnOkFalseServerBusyLine) {
+  EXPECT_TRUE(is_busy_line(R"({"ok":false,"code":"server_busy","error":"quota"})"));
+  EXPECT_FALSE(is_busy_line(R"({"ok":false,"code":"bad_request","error":"x"})"));
+  EXPECT_FALSE(is_busy_line(R"({"ok":true,"op":"solve","responses":[]})"));
+  EXPECT_FALSE(is_busy_line("not json"));
+  // Duplicate "ok" keys. A line that begins {"ok":true is an answer and is
+  // not parsed, although a full parse would let the later "ok" win.
+  EXPECT_FALSE(is_busy_line(
+      R"({"ok":true,"op":"solve","responses":[],"ok":false,"code":"server_busy"})"));
+  // Any other line is parsed, and there the last "ok" wins.
+  EXPECT_FALSE(is_busy_line(R"({"ok":false,"code":"server_busy","ok":true})"));
+  EXPECT_TRUE(is_busy_line(R"({"ok":false,"ok":false,"code":"server_busy"})"));
+}
+
+/// The solve sub-request as the router built it before write_request: a copy
+/// of the parsed request with members substituted, then json_dump.
+std::string reference_solve_line(const JsonValue& root, const std::string& ns,
+                                 const std::vector<std::size_t>& slots) {
+  JsonValue::Object obj = root.as_object();
+  obj.insert_or_assign("op", JsonValue(std::string("solve")));
+  JsonValue::Array mine;
+  for (const std::size_t slot : slots) mine.push_back(root.find("graphs")->as_array()[slot]);
+  obj.insert_or_assign("graphs", JsonValue(std::move(mine)));
+  if (!ns.empty()) {
+    obj.insert_or_assign("namespace", JsonValue(ns));
+  } else {
+    obj.erase("namespace");
+  }
+  return server::json_dump(JsonValue(std::move(obj)));
+}
+
+/// The put/patch/drop line the same way: only "op" substituted.
+std::string reference_verb_line(const JsonValue& root, const std::string& op) {
+  JsonValue::Object obj = root.as_object();
+  obj.insert_or_assign("op", JsonValue(op));
+  return server::json_dump(JsonValue(std::move(obj)));
+}
+
+TEST(RouterLines, SubRequestsMatchCopyAndDump) {
+  const std::string g0 = R"({"n":3,"edges":[[0,1],[1,2]]})";
+  const std::string g2 = R"({"edges":[[4,2]],"n":5})";
+  // Members sorting before "graphs" ("", "A", "batch"), between "graphs",
+  // "namespace" and "op" ("measure_ratio", "o"), after "op" ("solver", and
+  // a non-ASCII key), with and without "op" and "namespace" of their own.
+  const std::vector<std::string> requests = {
+      R"({"op":"solve","solver":"theorem44","graphs":[)" + g0 + R"(,"g1",)" + g2 + "]}",
+      R"({"graphs":[)" + g0 + R"(,"g1",)" + g2 +
+          R"(],"solver":"algorithm1","options":{"t":3,"r1":0.5},"measure_ratio":true})",
+      R"({"":1,"A":[null,false],"batch":{"threads":2},"graphs":[)" + g0 + R"(,"g1",)" + g2 +
+          R"(],"namespace":"tenant","o":"x","op":"solve","solver":"s\"qé","é":2.5})",
+      R"({"namespace":"","op":"put_graph","graph":)" + g0 + R"(,"graphs":["keep"],"handle":"h"})",
+      R"({"handle":"g:00ff","add":[[0,5]],"del":[[0,1]],"zz":-7})",
+  };
+  for (const std::string& text : requests) {
+    const JsonValue root = json_parse(text);
+    for (const char* op : {"put_graph", "patch_graph", "drop_graph"}) {
+      EXPECT_EQ(write_request(root, op), reference_verb_line(root, op)) << text;
+    }
+    if (!root.find("graphs") || root.find("graphs")->as_array().size() != 3) continue;
+    for (const std::string ns : {"", "tenant", "other"}) {
+      for (const std::vector<std::size_t>& slots :
+           std::vector<std::vector<std::size_t>>{{0, 1, 2}, {1}, {0, 2}, {2}, {}}) {
+        EXPECT_EQ(write_request(root, "solve", ns, &slots),
+                  reference_solve_line(root, ns, slots))
+            << text << " ns=" << ns;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Pin leases
 
 TEST(PinLeases, DropByAnotherSessionFailsReleaseSessionFrees) {
@@ -488,6 +561,14 @@ TEST_F(RoutedClusterTest, MixedBatchBitIdenticalOnBothTransports) {
   ASSERT_EQ(routed_pieces->size(), single_pieces->size());
   for (std::size_t i = 0; i < single_pieces->size(); ++i) {
     EXPECT_EQ((*routed_pieces)[i], (*single_pieces)[i]) << "slot " << i;
+  }
+  // The workers' diag members merge into the single server's counts (every
+  // cache fresh; one graph per shard on every side).
+  const JsonValue routed_diag = *json_parse(routed_line).find("diag");
+  const JsonValue single_diag = *json_parse(single).find("diag");
+  for (const char* counter : {"shards", "cache_hits", "cache_misses"}) {
+    EXPECT_EQ(routed_diag.find(counter)->as_int(), single_diag.find(counter)->as_int())
+        << counter;
   }
 
   // HTTP through the router: same body, same bit-identical responses array.

@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
 #include <sstream>
 
 #include "graph/bfs.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
+#include "graph/hash.hpp"
 #include "graph/io.hpp"
 #include "graph/ops.hpp"
 
@@ -54,6 +56,118 @@ TEST(Graph, BuilderCreatesVerticesOnDemand) {
 TEST(Graph, AsymmetricAdjacencyRejected) {
   std::vector<std::vector<Vertex>> adj{{1}, {}};
   EXPECT_THROW(Graph{adj}, std::invalid_argument);
+}
+
+TEST(Graph, AdjacencyConstructorValidatesEveryRow) {
+  using Adjacency = std::vector<std::vector<Vertex>>;
+  EXPECT_THROW(Graph(Adjacency{{1, 2}, {0}, {}}), std::invalid_argument);  // 2 lacks 0
+  EXPECT_THROW(Graph(Adjacency{{1}, {0, 2}}), std::invalid_argument);      // 2 >= n
+  EXPECT_THROW(Graph(Adjacency{{-1}, {}}), std::invalid_argument);         // negative
+  EXPECT_THROW(Graph(Adjacency{{1}, {0, 1}}), std::invalid_argument);      // self-loop
+  EXPECT_THROW(Graph(Adjacency{{0, 0}}), std::invalid_argument);           // repeated loop
+  // Repeats and unsorted rows are fine: they are sorted and de-duplicated.
+  const Graph g(Adjacency{{2, 1, 2}, {0, 0}, {0}});
+  EXPECT_EQ(g.num_edges(), 2);
+  EXPECT_EQ(std::vector<Vertex>(g.neighbors(0).begin(), g.neighbors(0).end()),
+            (std::vector<Vertex>{1, 2}));
+}
+
+/// What GraphBuilder built before it kept a flat edge list: one adjacency
+/// row per vertex, each edge entered in both rows, handed to
+/// Graph(adjacency). Also returns the expected rows as sets.
+struct ReferenceBuild {
+  std::vector<std::vector<Vertex>> adjacency;
+  std::vector<std::set<Vertex>> rows;
+
+  void ensure(int n) {
+    if (n > static_cast<int>(adjacency.size())) {
+      adjacency.resize(static_cast<std::size_t>(n));
+      rows.resize(static_cast<std::size_t>(n));
+    }
+  }
+  void add_edge(Vertex u, Vertex v) {
+    ensure(std::max(u, v) + 1);
+    adjacency[static_cast<std::size_t>(u)].push_back(v);
+    adjacency[static_cast<std::size_t>(v)].push_back(u);
+    rows[static_cast<std::size_t>(u)].insert(v);
+    rows[static_cast<std::size_t>(v)].insert(u);
+  }
+};
+
+void expect_same_graph(const Graph& built, const ReferenceBuild& ref) {
+  const Graph expected(ref.adjacency);
+  ASSERT_EQ(built.num_vertices(), static_cast<int>(ref.rows.size()));
+  EXPECT_EQ(built, expected);
+  EXPECT_EQ(graph_hash(built), graph_hash(expected));
+  std::size_t directed = 0;
+  for (Vertex v = 0; v < built.num_vertices(); ++v) {
+    const auto nb = built.neighbors(v);
+    const std::set<Vertex>& row = ref.rows[static_cast<std::size_t>(v)];
+    EXPECT_EQ(std::vector<Vertex>(nb.begin(), nb.end()),
+              std::vector<Vertex>(row.begin(), row.end()))
+        << "row " << v;
+    EXPECT_EQ(built.adjacency_offset(v), directed);
+    directed += row.size();
+  }
+  EXPECT_EQ(static_cast<std::size_t>(built.num_edges()) * 2, directed);
+}
+
+TEST(Graph, BuilderMatchesAdjacencyListConstruction) {
+  std::mt19937 rng(20250617);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int n = 1 + static_cast<int>(rng() % 40);
+    const int m = static_cast<int>(rng() % static_cast<unsigned>(3 * n + 1));
+    GraphBuilder b(trial % 3 == 0 ? n : 0);
+    ReferenceBuild ref;
+    if (trial % 3 == 0) ref.ensure(n);
+    for (int i = 0; i < m && n > 1; ++i) {
+      const auto u = static_cast<Vertex>(rng() % static_cast<unsigned>(n));
+      auto v = static_cast<Vertex>(rng() % static_cast<unsigned>(n - 1));
+      if (v >= u) ++v;
+      b.add_edge(u, v);
+      ref.add_edge(u, v);
+      if (rng() % 4 == 0) {  // repeat it, in either orientation
+        const bool flip = rng() % 2 != 0;
+        b.add_edge(flip ? v : u, flip ? u : v);
+        ref.add_edge(flip ? v : u, flip ? u : v);
+      }
+    }
+    // Trailing isolated vertices, both ways.
+    const int extra = static_cast<int>(rng() % 4);
+    b.ensure_vertices(b.num_vertices() + extra);
+    ref.ensure(static_cast<int>(ref.rows.size()) + extra);
+    if (rng() % 2) {
+      EXPECT_EQ(b.add_vertex(), static_cast<Vertex>(ref.rows.size()));
+      ref.ensure(static_cast<int>(ref.rows.size()) + 1);
+    }
+    b.ensure_vertices(1);  // never shrinks
+    ref.ensure(1);
+    expect_same_graph(b.build(), ref);
+    expect_same_graph(b.build(), ref);  // build() leaves the builder intact
+  }
+}
+
+TEST(Graph, BuilderEdgeCases) {
+  const Graph empty = GraphBuilder().build();
+  EXPECT_EQ(empty.num_vertices(), 0);
+  EXPECT_EQ(empty, Graph(std::vector<std::vector<Vertex>>{}));
+  EXPECT_EQ(graph_hash(empty), graph_hash(Graph(std::vector<std::vector<Vertex>>{})));
+
+  GraphBuilder isolated(3);
+  EXPECT_EQ(isolated.build(), Graph(std::vector<std::vector<Vertex>>(3)));
+
+  GraphBuilder b;
+  b.add_edge(3, 1);
+  b.add_edge(1, 3);
+  b.add_edge(3, 1);
+  const Graph first = b.build();
+  b.add_edge(0, 1);  // still usable after build(); earlier results unchanged
+  const Graph second = b.build();
+  EXPECT_EQ(first.num_edges(), 1);
+  EXPECT_EQ(second.num_edges(), 2);
+  EXPECT_EQ(first.num_vertices(), 4);
+  EXPECT_EQ(std::vector<Vertex>(second.neighbors(1).begin(), second.neighbors(1).end()),
+            (std::vector<Vertex>{0, 3}));
 }
 
 TEST(Graph, NeighborsSorted) {

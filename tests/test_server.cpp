@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -808,6 +810,46 @@ TEST(ServerSocket, OversizedLineIsRejectedAndConnectionDropped) {
 
   server.request_stop();
   serving.join();
+}
+
+TEST(ServerSocket, LineReaderCostIsBoundedPerByte) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  constexpr std::size_t kBlankLines = 20000;
+  std::string long_line(167000, ' ');
+  for (std::size_t i = 0; i < long_line.size(); ++i) {
+    long_line[i] = static_cast<char>('a' + i % 26);
+  }
+  std::string stream(kBlankLines, '\n');
+  stream += "mid\r\nabcdef\n";
+  stream += long_line;
+  stream += "\ntail";  // the last line has no newline
+  // Written in 1,000-byte pieces from another thread, so the reader sees the
+  // long line arrive over many reads.
+  std::thread writer([&] {
+    for (std::size_t off = 0; off < stream.size(); off += 1000) {
+      EXPECT_TRUE(send_all(fds[1], std::string_view(stream).substr(off, 1000)));
+    }
+    close_fd(fds[1]);
+  });
+
+  LineReader reader(fds[0]);
+  for (std::size_t i = 0; i < kBlankLines; ++i) {
+    const std::optional<std::string> blank = reader.next_line(1u << 20);
+    ASSERT_TRUE(blank.has_value()) << "line " << i;
+    ASSERT_EQ(*blank, "") << "line " << i;
+  }
+  EXPECT_EQ(reader.next_line(1u << 20).value_or("?"), "mid");
+  EXPECT_EQ(reader.read_exact(3).value_or("?"), "abc");
+  EXPECT_EQ(reader.next_line(1u << 20).value_or("?"), "def");
+  EXPECT_EQ(reader.next_line(1u << 20).value_or("?"), long_line);
+  EXPECT_EQ(reader.next_line(1u << 20).value_or("?"), "tail");
+  EXPECT_FALSE(reader.next_line(1u << 20).has_value());
+  writer.join();
+  // Compaction moves no more bytes than were consumed. Erasing the front
+  // once per line would move ~kBlankLines^2 / 2 bytes for the blank lines.
+  EXPECT_LE(reader.bytes_moved(), stream.size());
+  close_fd(fds[0]);
 }
 
 // One HTTP exchange over a real socket; returns {status, parsed body}.

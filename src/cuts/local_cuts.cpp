@@ -20,8 +20,9 @@ bool is_local_one_cut(const Graph& g, Vertex v, int r) {
 bool is_local_one_cut(const Graph& g, Vertex v, int r, CutScratch& scratch) {
   require_radius(r);
   if (!g.has_vertex(v)) throw std::invalid_argument("is_local_one_cut: bad vertex");
-  // A cut vertex of the connected ball has a neighbour on each side.
-  return g.degree(v) >= 2 && pair_counts(g, v, v, r, scratch).full >= 2;
+  // Each component of the ball minus v holds a neighbour of v, so a connected
+  // link (one of <= 1 vertex included) leaves a single component.
+  return !link_connected(g, v, v, scratch) && pair_counts(g, v, v, r, scratch).full >= 2;
 }
 
 std::vector<Vertex> local_one_cuts(const Graph& g, int r) {
@@ -63,6 +64,7 @@ std::vector<Vertex> vertices_in_local_two_cuts(const Graph& g, int r) {
 }
 
 bool in_local_two_cut(const Graph& g, Vertex v, int r, CutScratch& scratch) {
+  if (!g.has_vertex(v)) throw std::invalid_argument("in_local_two_cut: bad vertex");
   return r >= 1 && any_partner(g, block_index(g), v, r, scratch, [&](Vertex u) {
            return pair_counts(g, v, u, r, scratch).full >= 2;
          });

@@ -39,7 +39,8 @@ std::vector<VertexPair> local_two_cuts(const Graph& g, int r);
 std::vector<Vertex> vertices_in_local_two_cuts(const Graph& g, int r);
 
 /// True iff v is in some r-local minimal 2-cut (false for r < 1): one vertex
-/// of vertices_in_local_two_cuts, on the caller's scratch.
+/// of vertices_in_local_two_cuts, on the caller's scratch. Throws
+/// std::invalid_argument for a bad vertex.
 bool in_local_two_cut(const Graph& g, Vertex v, int r, CutScratch& scratch);
 
 }  // namespace lmds::cuts

@@ -1,6 +1,7 @@
 #include "cuts/two_cuts.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace lmds::cuts {
 
@@ -34,6 +35,40 @@ std::vector<Vertex> vertices_of(const std::vector<VertexPair>& pairs) {
   std::sort(result.begin(), result.end());
   result.erase(std::unique(result.begin(), result.end()), result.end());
   return result;
+}
+
+bool link_connected(const Graph& g, Vertex v, Vertex skip, CutScratch& s) {
+  s.link.resize(std::max(s.link.size(), static_cast<std::size_t>(g.num_vertices())));
+  if (s.link_epoch > UINT32_MAX - 2) {  // stamp wrap: one real clear every 2^31 calls
+    std::fill(s.link.begin(), s.link.end(), 0);
+    s.link_epoch = 0;
+  }
+  const std::uint32_t member = ++s.link_epoch;
+  const std::uint32_t reached = ++s.link_epoch;
+  const auto stamp = [&](Vertex x) -> std::uint32_t& {
+    return s.link[static_cast<std::size_t>(x)];
+  };
+  int size = 0;
+  for (const Vertex w : g.neighbors(v)) {
+    if (w == skip) continue;
+    stamp(w) = member;
+    if (size++ == 0) s.stack.assign(1, w);
+  }
+  if (size <= 1) return true;
+  stamp(s.stack.back()) = reached;
+  int count = 1;
+  while (!s.stack.empty() && count < size) {
+    const Vertex x = s.stack.back();
+    s.stack.pop_back();
+    for (const Vertex y : g.neighbors(x)) {
+      if (stamp(y) == member) {
+        stamp(y) = reached;
+        ++count;
+        s.stack.push_back(y);
+      }
+    }
+  }
+  return count == size;
 }
 
 PairCounts pair_counts(const Graph& g, Vertex u, Vertex v, int r, CutScratch& s) {

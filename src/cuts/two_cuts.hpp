@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cuts/block_cut.hpp"
@@ -54,6 +55,8 @@ struct CutScratch {
   std::vector<std::uint8_t> flags;
   std::vector<Vertex> stack;
   std::vector<Vertex> partners;
+  std::vector<std::uint32_t> link;  ///< link_connected's epoch stamps
+  std::uint32_t link_epoch = 0;
 };
 
 /// Component counts of H − {u, v}, with H = G[N^r[{u, v}]] (r < 0: H = G).
@@ -68,19 +71,40 @@ struct PairCounts {
 /// v each of them holds a neighbour of v.
 PairCounts pair_counts(const Graph& g, Vertex u, Vertex v, int r, CutScratch& s);
 
-/// Calls fn(u) for each u in N^r[v] \ {v}, ascending, that shares a block
-/// of `blocks` with v, until fn returns true; returns whether it did. fn may
-/// run pair_counts on the same scratch.
+/// True iff the link of v without `skip`, G[N(v) \ {skip}], is connected (<= 1
+/// vertex counts; skip may be kNoVertex or v). One mark-and-search over N(v):
+/// O(sum of deg(w) over w in N(v)), at most one pair_counts pass on a host
+/// holding N[v]. Link rule: each full component of H − {u, v} holds a
+/// neighbour of v other than u, so for r != 0 link_connected(g, v, u) caps
+/// pair_counts(g, u, v, r).full at 1, and so does link_connected(g, u, v).
+bool link_connected(const Graph& g, Vertex v, Vertex skip, CutScratch& s);
+
+/// Calls fn(u) for each u in N^r[v] \ {v}, ascending, that the block and link
+/// rules do not prove to have pair_counts(g, u, v, r).full <= 1, until fn
+/// returns true; returns whether it did. r != 0. fn may run pair_counts on
+/// the same scratch.
 template <typename Fn>
 bool any_partner(const Graph& g, const BlockIndex& blocks, Vertex v, int r, CutScratch& s,
                  const Fn& fn) {
-  graph::ball_into(g, v, r, s.bfs, s.partners);
   const std::vector<int>& mine = blocks[static_cast<std::size_t>(v)];
+  if (mine.empty()) return false;  // v is on no cycle
+  const std::span<const Vertex> nv = g.neighbors(v);
+  if (link_connected(g, v, graph::kNoVertex, s)) {
+    s.partners.assign(nv.begin(), nv.end());  // every non-neighbour is rejected
+  } else {
+    graph::ball_into(g, v, r, s.bfs, s.partners);
+  }
+  auto next = nv.begin();  // first neighbour of v not below u
   for (const Vertex u : s.partners) {
+    while (next != nv.end() && *next < u) ++next;
+    const bool adjacent = next != nv.end() && *next == u;
     const std::vector<int>& other = blocks[static_cast<std::size_t>(u)];
     const bool share =
         std::find_first_of(mine.begin(), mine.end(), other.begin(), other.end()) != mine.end();
-    if (u != v && share && fn(u)) return true;
+    if (u == v || !share) continue;
+    // Non-adjacent u reaches here only when v's whole link is disconnected.
+    if ((adjacent && link_connected(g, v, u, s)) || link_connected(g, u, v, s)) continue;
+    if (fn(u)) return true;
   }
   return false;
 }

@@ -101,7 +101,21 @@ bool Graph::closed_neighborhood_contained(Vertex a, Vertex b) const {
 }
 
 bool Graph::true_twins(Vertex a, Vertex b) const {
-  return closed_neighborhood_contained(a, b) && closed_neighborhood_contained(b, a);
+  if (a == b) return true;
+  // a and b adjacent with N(a) \ {b} == N(b) \ {a}: one merge of the sorted rows.
+  const std::span<const Vertex> na = neighbors(a);
+  const std::span<const Vertex> nb = neighbors(b);
+  if (na.size() != nb.size()) return false;
+  bool adjacent = false;
+  for (auto i = na.begin(), j = nb.begin();; ++i, ++j) {
+    if (i != na.end() && *i == b) {
+      adjacent = true;
+      ++i;
+    }
+    if (j != nb.end() && *j == a) ++j;
+    if (i == na.end() || j == nb.end()) return adjacent && i == na.end() && j == nb.end();
+    if (*i != *j) return false;
+  }
 }
 
 std::string Graph::summary() const {

@@ -1,14 +1,17 @@
 #include "graph/ops.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <iterator>
 #include <map>
 #include <queue>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "graph/bfs.hpp"
 #include "graph/builder.hpp"
+#include "graph/hash.hpp"
 
 namespace lmds::graph {
 
@@ -193,20 +196,34 @@ Subgraph remove_vertices(const Graph& g, std::span<const Vertex> vertices) {
 }
 
 TwinReduction remove_true_twins(const Graph& g) {
-  // Group vertices by their sorted closed neighbourhood.
-  std::map<std::vector<Vertex>, std::vector<Vertex>> classes;
+  // True twins have equal closed neighbourhoods, so equal fingerprints (the
+  // sum of mixed ids over N[v]). Within one fingerprint, in ascending order,
+  // a vertex joins the first class whose smallest member has its closed
+  // neighbourhood, or opens a class of its own.
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  std::vector<std::pair<std::uint64_t, Vertex>> order(n);
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    classes[g.closed_neighborhood(v)].push_back(v);
+    std::uint64_t h = mix64(static_cast<std::uint64_t>(v));
+    for (const Vertex w : g.neighbors(v)) h += mix64(static_cast<std::uint64_t>(w));
+    order[static_cast<std::size_t>(v)] = {h, v};
   }
+  std::sort(order.begin(), order.end());
   TwinReduction result;
-  result.representative.assign(static_cast<std::size_t>(g.num_vertices()), kNoVertex);
-  std::vector<Vertex> reps;
-  for (const auto& [nbhd, members] : classes) {
-    const Vertex rep = *std::min_element(members.begin(), members.end());
-    reps.push_back(rep);
-    for (Vertex v : members) result.representative[static_cast<std::size_t>(v)] = rep;
+  result.representative.assign(n, kNoVertex);
+  std::vector<Vertex> group_reps;  // class minima of the current fingerprint
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i == 0 || order[i].first != order[i - 1].first) group_reps.clear();
+    const Vertex v = order[i].second;
+    const auto rep = std::find_if(group_reps.begin(), group_reps.end(),
+                                  [&](Vertex c) { return g.true_twins(c, v); });
+    const bool opens = rep == group_reps.end();
+    result.representative[static_cast<std::size_t>(v)] = opens ? v : *rep;
+    if (opens) group_reps.push_back(v);
   }
-  std::sort(reps.begin(), reps.end());
+  std::vector<Vertex> reps;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    if (result.representative[static_cast<std::size_t>(v)] == v) reps.push_back(v);
+  }
   result.num_classes = static_cast<int>(reps.size());
   result.reduced = induced_subgraph(g, reps);
   return result;

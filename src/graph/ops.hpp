@@ -73,7 +73,8 @@ struct TwinReduction {
   std::vector<Vertex> lift_solution(std::span<const Vertex> reduced_solution) const;
 };
 
-/// Computes the true-twin reduction of g. Runs in O(m log m).
+/// Computes the true-twin reduction of g: O(m + n log n), plus one merge of
+/// two adjacency rows per vertex whose closed-neighbourhood fingerprint repeats.
 TwinReduction remove_true_twins(const Graph& g);
 
 /// Contracts each part of the given partition to a single vertex. Parts must

@@ -12,7 +12,6 @@
 // a stress test. With --json the measurements land in FILE for the CI
 // artifact trail (BENCH_*.json).
 
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -21,12 +20,14 @@
 #include <vector>
 
 #include "api/registry.hpp"
+#include "bench_util.hpp"
 #include "ding/generators.hpp"
 #include "graph/generators.hpp"
 
 namespace {
 
 using namespace lmds;
+using namespace lmds::bench;
 using graph::Graph;
 
 std::vector<Graph> workload(bool small) {
@@ -46,20 +47,6 @@ std::vector<Graph> workload(bool small) {
     gs.push_back(ding::random_cactus_of_structures(cc, rng));
   }
   return gs;
-}
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-// Locale-independent fixed-point formatting for the JSON artifact: fprintf's
-// "%f" obeys LC_NUMERIC, so under e.g. de_DE it writes "0,125" and corrupts
-// BENCH_*.json; std::to_chars always emits '.'.
-std::string json_num(double v, int precision) {
-  char buf[64];
-  const auto [ptr, ec] =
-      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, precision);
-  return ec == std::errc() ? std::string(buf, ptr) : std::string("0");
 }
 
 }  // namespace
@@ -105,8 +92,8 @@ int main(int argc, char** argv) {
     opts.shard_size = 2;
     api::BatchDiagnostics diag;
     const auto start = std::chrono::steady_clock::now();
-    const auto responses =
-        registry.run_batch(solver, {graphs.data(), graphs.size()}, req, opts, &diag);
+    const auto responses = api::BatchExecutor(opts, registry)
+                               .run_batch(solver, {graphs.data(), graphs.size()}, req, {}, &diag);
     const double secs = seconds_since(start);
     if (threads == 1) {
       reference = responses;
@@ -130,11 +117,11 @@ int main(int argc, char** argv) {
   api::BatchDiagnostics cold;
   api::BatchDiagnostics warm;
   const auto start_cold = std::chrono::steady_clock::now();
-  (void)executor.run_batch(solver, {graphs.data(), graphs.size()}, req, &cold);
+  (void)executor.run_batch(solver, {graphs.data(), graphs.size()}, req, {}, &cold);
   const double cold_secs = seconds_since(start_cold);
   const auto start_warm = std::chrono::steady_clock::now();
   const auto warm_responses =
-      executor.run_batch(solver, {graphs.data(), graphs.size()}, req, &warm);
+      executor.run_batch(solver, {graphs.data(), graphs.size()}, req, {}, &warm);
   const double warm_secs = seconds_since(start_warm);
   if (warm_responses != reference) {
     std::fprintf(stderr, "CACHE VIOLATION: warm responses differ from uncached run\n");

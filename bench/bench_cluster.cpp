@@ -21,7 +21,6 @@
 // subsystem; perfect fan-out is 2.0x, 1.7x absorbs routing overhead and CI
 // noise). --json writes the measurements for the BENCH_* artifact trail.
 
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -31,6 +30,7 @@
 #include <vector>
 
 #include "api/registry.hpp"
+#include "bench_util.hpp"
 #include "cluster/hash_ring.hpp"
 #include "cluster/router.hpp"
 #include "graph/generators.hpp"
@@ -41,17 +41,7 @@
 namespace {
 
 using namespace lmds;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-std::string json_num(double v, int precision) {
-  char buf[64];
-  const auto [ptr, ec] =
-      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, precision);
-  return ec == std::errc() ? std::string(buf, ptr) : std::string("0");
-}
+using namespace lmds::bench;
 
 /// The bench-only solver: a fixed service time, then the (always valid)
 /// take-all dominating set. Registered at startup; the workers share this

@@ -22,7 +22,6 @@
 // --json writes runs[].graphs_per_sec for scripts/bench_regression.py and
 // the BENCH_* artifact trail.
 
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -32,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/ops.hpp"
@@ -42,20 +42,10 @@
 namespace {
 
 using namespace lmds;
+using namespace lmds::bench;
 using graph::Edge;
 using graph::Graph;
 using graph::Vertex;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-std::string json_num(double v, int precision) {
-  char buf[64];
-  const auto [ptr, ec] =
-      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, precision);
-  return ec == std::errc() ? std::string(buf, ptr) : std::string("0");
-}
 
 // A clustered edit batch: BFS out from a random center and delete the first
 // `count` edges whose endpoints are both inside the visited region. Edits

@@ -14,12 +14,12 @@
 // protocol-v2 redesign). --json writes the measurements for the BENCH_*
 // artifact trail.
 
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
 
+#include "bench_util.hpp"
 #include "graph/generators.hpp"
 #include "server/json.hpp"
 #include "server/server.hpp"
@@ -27,17 +27,7 @@
 namespace {
 
 using namespace lmds;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-std::string json_num(double v, int precision) {
-  char buf[64];
-  const auto [ptr, ec] =
-      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, precision);
-  return ec == std::errc() ? std::string(buf, ptr) : std::string("0");
-}
+using namespace lmds::bench;
 
 }  // namespace
 

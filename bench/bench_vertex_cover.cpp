@@ -5,7 +5,7 @@
 // stays flat.
 //
 // Both solvers run through api::Registry; the mixed-structure trials go
-// through the sharded run_batch overload, one batch per solver.
+// through one sharded api::BatchExecutor, one batch per solver.
 
 #include <cstdio>
 #include <random>
@@ -67,10 +67,11 @@ int main() {
   full_req.options["t"] = 6;
   full_req.options["radius1"] = 4;
   full_req.options["radius2"] = 4;
+  api::BatchExecutor executor(opts, registry);
   const auto quick_batch =
-      registry.run_batch("theorem44-mvc", {trials.data(), trials.size()}, quick_req, opts);
+      executor.run_batch("theorem44-mvc", {trials.data(), trials.size()}, quick_req, {});
   const auto full_batch =
-      registry.run_batch("algorithm1-mvc", {trials.data(), trials.size()}, full_req, opts);
+      executor.run_batch("algorithm1-mvc", {trials.data(), trials.size()}, full_req, {});
   for (std::size_t i = 0; i < trials.size(); ++i) {
     std::printf("  %-18s Thm4.4 %s   Alg.1 %s\n", trials[i].summary().c_str(),
                 quick_batch[i].ratio.to_string().c_str(),

@@ -3,29 +3,29 @@
 // serving engine the ROADMAP's run_batch seam promised. The LOCAL model of
 // the paper is inherently parallel (every vertex decides from its r-ball);
 // the systems analogue at the serving layer is parallelism *across graphs*:
-// a batch is cut into shards, shards are dealt round-robin onto per-worker
-// queues, and a fixed-size pool of workers drains its own queue first, then
-// steals from its sibling queues in cyclic order.
+// a batch is cut into shards, and the shards are the tasks of one
+// common::fork_join (src/common/parallel.hpp) — worker w runs shard w, then
+// every worker claims the next unrun shard from one shared counter.
 //
 // Guarantees:
 //  * Deterministic results — response i answers graphs[i] and is written to
 //    a preallocated slot, so the Response vector is identical for any thread
 //    count (every solver in the registry is deterministic; asserted over the
 //    generator suite in tests/test_batch.cpp).
-//  * Fail fast — a solver exception makes every worker abandon its
-//    unclaimed shards; after the pool drains, the exception with the lowest
-//    graph index among those attempted is rethrown.
+//  * Fail fast — after a solver exception no worker claims another shard;
+//    once every worker has joined, the exception of the lowest failing graph
+//    is rethrown (shards are claimed in index order, so that graph always
+//    ran).
 //  * Reentrancy — one BatchExecutor may serve concurrent run_batch calls
 //    from many threads. The executor itself holds no mutex and no
 //    LMDS_GUARDED_BY members on purpose: opts_/registry_ are immutable after
-//    construction, shard queues and cursors are per-call locals (the cursors
-//    atomics), and the only cross-call shared state is cache_, whose locking
+//    construction, the shard counter is a per-call local atomic inside
+//    fork_join, and the only cross-call shared state is cache_, whose locking
 //    is annotated and checked inside ResponseCache itself (api/cache.hpp).
 //    Exercised under TSan by tests/test_concurrency.cpp.
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -43,11 +43,11 @@ class Registry;
 /// Tuning knobs of one batch execution.
 struct BatchOptions {
   /// Worker parallelism. 1 runs inline on the calling thread; <= 0 picks
-  /// std::thread::hardware_concurrency(). The effective count is clamped to
-  /// the number of shards.
+  /// the hardware concurrency (common::resolve_thread_count). The effective
+  /// count is clamped to the number of shards.
   int threads = 1;
-  /// Graphs per shard — the work-queue granularity. Small shards balance
-  /// better, large shards amortize queue traffic; <= 0 is an error.
+  /// Graphs per shard — the unit a worker claims. Small shards balance
+  /// better, large shards amortize claims; <= 0 is an error.
   int shard_size = 4;
   /// LRU response-cache capacity in entries; 0 disables caching.
   std::size_t cache_capacity = 0;
@@ -85,7 +85,9 @@ struct BatchDiagnostics {
   int threads = 1;           ///< workers actually used
   int intra_threads = 1;     ///< per-solve worker count (resolved; 1 = off)
   int shards = 0;            ///< shards the batch was cut into
-  std::uint64_t stolen_shards = 0;  ///< shards drained from a sibling's queue
+  /// Shards run by a worker other than shard % workers — the one a
+  /// round-robin deal of the shards would have given them (0 at threads=1).
+  std::uint64_t stolen_shards = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
@@ -112,8 +114,7 @@ struct ExecutorHealth {
 };
 
 /// Sharded parallel batch runner with a response cache that persists across
-/// run_batch calls (a Registry-level convenience overload exists for one-shot
-/// batches; hold a BatchExecutor to get cross-batch cache hits).
+/// run_batch calls (a one-shot batch is a transient BatchExecutor).
 class BatchExecutor {
  public:
   /// Runs against Registry::instance().
@@ -124,23 +125,21 @@ class BatchExecutor {
   /// Executes one request shape across many graphs (req.graph is ignored);
   /// response i answers graphs[i]. Request validation (unknown solver,
   /// undeclared or type-mismatched option, traffic on a centralized-only
-  /// solver) throws RequestError before any work starts. If `diag` is
-  /// non-null it receives this batch's executor diagnostics.
-  std::vector<Response> run_batch(std::string_view solver, std::span<const Graph> graphs,
-                                  const Request& req, BatchDiagnostics* diag = nullptr);
-
-  /// Same, with per-request overrides (threads, shard size, cache bypass,
-  /// cache namespace). An overridden shard_size <= 0 or threads out of
-  /// sanity range throws RequestError — it is the request's fault, not the
-  /// executor's configuration.
+  /// solver) throws RequestError before any work starts. `over` carries the
+  /// per-request overrides (threads, shard size, cache bypass, cache
+  /// namespace; `{}` = the executor's configuration); an overridden
+  /// shard_size <= 0 or threads out of sanity range throws RequestError —
+  /// it is the request's fault, not the executor's configuration. If `diag`
+  /// is non-null it receives this batch's executor diagnostics.
   std::vector<Response> run_batch(std::string_view solver, std::span<const Graph> graphs,
                                   const Request& req, const BatchOverrides& over,
                                   BatchDiagnostics* diag = nullptr);
 
   /// Pointer-span variant for callers whose graphs are not contiguous —
   /// the serving layer's solve-by-handle path hands the GraphStore's stored
-  /// graphs straight to the pool, no per-request copies. Every pointer must
-  /// be non-null and outlive the call. `graph_hashes`, when non-empty, must
+  /// graphs straight to the workers, no per-request copies (the value-span
+  /// overload runs through it). Every pointer must be non-null and outlive
+  /// the call. `graph_hashes`, when non-empty, must
   /// parallel `graphs` and carries precomputed graph_hash fingerprints (a
   /// graph-store handle *is* its graph's hash, so handle solves skip the
   /// O(V+E) hash walk entirely); a 0 entry means "unknown, compute" — the
@@ -184,16 +183,6 @@ class BatchExecutor {
   const ResponseCache& cache() const { return cache_; }
 
  private:
-  /// The one real implementation; the public overloads adapt their graph
-  /// containers into the accessor.
-  std::vector<Response> run_impl(std::string_view solver,
-                                 const std::function<const Graph&(std::size_t)>& graph_at,
-                                 std::size_t count, const Request& req,
-                                 const BatchOverrides& over, BatchDiagnostics* diag,
-                                 std::span<const std::uint64_t> graph_hashes = {},
-                                 std::span<const std::shared_ptr<const PatchLineage>>
-                                     lineages = {});
-
   BatchOptions opts_;
   const Registry& registry_;
   ResponseCache cache_;

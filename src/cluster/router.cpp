@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "api/graph_store.hpp"
+#include "common/parallel.hpp"
 #include "graph/hash.hpp"
 #include "server/protocol.hpp"
 
@@ -364,7 +365,7 @@ std::optional<std::string> Router::route_solve(server::Session& session,
     sub.has_handle = sub.has_handle || is_handle;
   }
 
-  // Fan out: a thread per peer (bounded by the ring size), each sub-batch
+  // Fan out: a worker per peer (bounded by the ring size), each sub-batch
   // running the full retry/failover policy independently. Store-bound
   // sub-batches cannot fail over — only the owner holds their graphs. Each
   // sub-request is the client's request (solver, options, measure flags,
@@ -373,17 +374,15 @@ std::optional<std::string> Router::route_solve(server::Session& session,
   // and the namespace pinned explicitly (pooled connections are
   // namespace-less).
   std::vector<std::string> raw(subs.size());
-  const auto run_one = [&](std::size_t i) {
-    const SubBatch& sub = subs[i];
+  const int fan_out = static_cast<int>(subs.size());  // sub-batch 0 runs on this thread
+  common::fork_join(fan_out, fan_out, [&](int i, int) {
+    const SubBatch& sub = subs[static_cast<std::size_t>(i)];
     const std::vector<std::size_t> preference =
         sub.has_handle ? std::vector<std::size_t>{sub.peer} : ring_.preference(sub.rep_hash);
-    raw[i] = forward(preference, /*can_fail_over=*/!sub.has_handle, /*control=*/false,
-                     write_request(root, "solve", ns, &sub.slots));
-  };
-  std::vector<std::thread> threads;  // sub-batch 0 runs on this thread
-  for (std::size_t i = 1; i < subs.size(); ++i) threads.emplace_back(run_one, i);
-  run_one(0);
-  for (std::thread& t : threads) t.join();
+    raw[static_cast<std::size_t>(i)] =
+        forward(preference, /*can_fail_over=*/!sub.has_handle, /*control=*/false,
+                write_request(root, "solve", ns, &sub.slots));
+  });
 
   // Any failed sub-batch fails the whole request — the same all-or-nothing
   // contract a single server gives a batch. Report the failure owning the

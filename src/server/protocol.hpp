@@ -75,6 +75,9 @@
 //            "cache_misses":..,"cache_evictions":..,
 //            "incremental_solves":..,"incremental_fallbacks":..,   // only when
 //            "incremental_dirty":..}}                              // nonzero
+//    "stolen_shards" counts the shards run by a worker other than
+//    shard % workers, the one a round-robin deal would have used (always
+//    0 at threads=1; see api::BatchDiagnostics).
 //
 // This header is socket-free: parsing/encoding is pure string work, so
 // tests/test_server.cpp exercises the whole protocol without a network.

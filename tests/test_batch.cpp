@@ -1,18 +1,21 @@
 // Tests for the batch-serving layer: graph_hash fingerprints, the LRU
 // response cache (hit identity, eviction, counters), the sharded parallel
-// executor (determinism across thread counts, work stealing, error
-// propagation, concurrent callers) and the typed ParamValue widening of
-// SolverSpec parameters.
+// executor (determinism across thread counts, error propagation, concurrent
+// callers), the fork_join / parallel_for primitive under it, and the typed
+// ParamValue widening of SolverSpec parameters.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <fstream>
 #include <iterator>
 #include <limits>
 #include <random>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -22,6 +25,7 @@
 
 #include "api/graph_store.hpp"
 #include "api/registry.hpp"
+#include "common/parallel.hpp"
 #include "ding/generators.hpp"
 #include "graph/generators.hpp"
 #include "graph/hash.hpp"
@@ -305,7 +309,8 @@ TEST(BatchExecutor, ThreadCountsProduceIdenticalResponses) {
       opts.threads = threads;
       opts.shard_size = 2;
       BatchDiagnostics diag;
-      const auto parallel = reg.run_batch(solver, span_of(graphs), req, opts, &diag);
+      const auto parallel =
+          BatchExecutor(opts, reg).run_batch(solver, span_of(graphs), req, {}, &diag);
       ASSERT_EQ(parallel.size(), graphs.size());
       EXPECT_EQ(parallel, sequential) << solver << " diverged at threads=" << threads;
       EXPECT_EQ(diag.shards, static_cast<int>((graphs.size() + 1) / 2));
@@ -323,7 +328,7 @@ TEST(BatchExecutor, LocalModeStaysDeterministicInParallel) {
   BatchOptions opts;
   opts.threads = 8;
   opts.shard_size = 1;
-  EXPECT_EQ(reg.run_batch("theorem44", span_of(graphs), req, opts), sequential);
+  EXPECT_EQ(BatchExecutor(opts, reg).run_batch("theorem44", span_of(graphs), req, {}), sequential);
 }
 
 TEST(BatchExecutor, CacheHitIsBitIdentical) {
@@ -337,9 +342,9 @@ TEST(BatchExecutor, CacheHitIsBitIdentical) {
   Request req;
   req.measure_ratio = true;
   BatchDiagnostics cold;
-  const auto first = executor.run_batch("algorithm1", span_of(graphs), req, &cold);
+  const auto first = executor.run_batch("algorithm1", span_of(graphs), req, {}, &cold);
   BatchDiagnostics warm;
-  const auto second = executor.run_batch("algorithm1", span_of(graphs), req, &warm);
+  const auto second = executor.run_batch("algorithm1", span_of(graphs), req, {}, &warm);
 
   EXPECT_EQ(second, first);  // bit-identical Responses, field by field
   EXPECT_EQ(cold.cache_hits, 0u);
@@ -355,7 +360,7 @@ TEST(BatchExecutor, CacheKeyCanonicalizationMergesSpelledOutDefaults) {
   BatchExecutor executor(opts);
 
   Request defaults;  // t/radius1/radius2/twin_removal all defaulted
-  (void)executor.run_batch("algorithm1", span_of(graphs), defaults);
+  (void)executor.run_batch("algorithm1", span_of(graphs), defaults, {});
 
   Request spelled;  // the same values, spelled out (ints coerced to bool)
   spelled.options["t"] = 5;
@@ -363,7 +368,7 @@ TEST(BatchExecutor, CacheKeyCanonicalizationMergesSpelledOutDefaults) {
   spelled.options["radius2"] = 4;
   spelled.options["twin_removal"] = 1;
   BatchDiagnostics diag;
-  (void)executor.run_batch("algorithm1", span_of(graphs), spelled, &diag);
+  (void)executor.run_batch("algorithm1", span_of(graphs), spelled, {}, &diag);
   EXPECT_EQ(diag.cache_hits, graphs.size()) << "canonicalized keys should collide";
 }
 
@@ -374,17 +379,17 @@ TEST(BatchExecutor, DifferentOptionsDoNotShareCacheLines) {
   BatchExecutor executor(opts);
 
   Request req;
-  (void)executor.run_batch("algorithm1", span_of(graphs), req);
+  (void)executor.run_batch("algorithm1", span_of(graphs), req, {});
   Request other;
   other.options["radius1"] = 2;
   BatchDiagnostics diag;
-  (void)executor.run_batch("algorithm1", span_of(graphs), other, &diag);
+  (void)executor.run_batch("algorithm1", span_of(graphs), other, {}, &diag);
   EXPECT_EQ(diag.cache_hits, 0u);
   // Same solver+graph but different flags must miss too.
   Request ratio = req;
   ratio.measure_ratio = true;
   BatchDiagnostics flag_diag;
-  (void)executor.run_batch("algorithm1", span_of(graphs), ratio, &flag_diag);
+  (void)executor.run_batch("algorithm1", span_of(graphs), ratio, {}, &flag_diag);
   EXPECT_EQ(flag_diag.cache_hits, 0u);
 }
 
@@ -397,7 +402,7 @@ TEST(BatchExecutor, EvictionAtCapacityStillCorrect) {
   Request req;
   const auto expected = Registry::instance().run_batch("theorem44", span_of(graphs), req);
   for (int pass = 0; pass < 2; ++pass) {
-    EXPECT_EQ(executor.run_batch("theorem44", span_of(graphs), req), expected);
+    EXPECT_EQ(executor.run_batch("theorem44", span_of(graphs), req, {}), expected);
   }
   const CacheStats stats = executor.cache_stats();
   EXPECT_EQ(stats.size, 2u);
@@ -422,7 +427,7 @@ TEST(BatchExecutor, ConcurrentCallersAreSafe) {
   for (int c = 0; c < kCallers; ++c) {
     callers.emplace_back([&] {
       for (int round = 0; round < 3; ++round) {
-        if (executor.run_batch("theorem44", span_of(graphs), req) != expected) {
+        if (executor.run_batch("theorem44", span_of(graphs), req, {}) != expected) {
           mismatches.fetch_add(1);
         }
       }
@@ -455,7 +460,7 @@ TEST(BatchExecutor, SolverExceptionPropagatesAndAbortsBatch) {
   opts.shard_size = 1;
   BatchExecutor executor(opts, reg);
   Request req;
-  EXPECT_THROW((void)executor.run_batch("boom", span_of(graphs), req), std::runtime_error);
+  EXPECT_THROW((void)executor.run_batch("boom", span_of(graphs), req, {}), std::runtime_error);
 }
 
 TEST(BatchExecutor, ThrowingSolveDoesNotCountAMiss) {
@@ -483,7 +488,7 @@ TEST(BatchExecutor, ThrowingSolveDoesNotCountAMiss) {
   opts.shard_size = 1;
   opts.cache_capacity = 16;
   BatchExecutor executor(opts, reg);
-  EXPECT_THROW((void)executor.run_batch("boom", span_of(graphs), Request{}),
+  EXPECT_THROW((void)executor.run_batch("boom", span_of(graphs), Request{}, {}),
                std::runtime_error);
 
   const CacheStats stats = executor.cache_stats();
@@ -500,8 +505,8 @@ TEST(BatchExecutor, ValidatesRequestBeforeSpawning) {
   BatchExecutor executor(opts);
   Request bad;
   bad.options["radius9"] = 1;
-  EXPECT_THROW((void)executor.run_batch("algorithm1", span_of(graphs), bad), RequestError);
-  EXPECT_THROW((void)executor.run_batch("no-such", span_of(graphs), Request{}), RequestError);
+  EXPECT_THROW((void)executor.run_batch("algorithm1", span_of(graphs), bad, {}), RequestError);
+  EXPECT_THROW((void)executor.run_batch("no-such", span_of(graphs), Request{}, {}), RequestError);
 }
 
 TEST(BatchExecutor, RejectsNonPositiveShardSize) {
@@ -515,9 +520,160 @@ TEST(BatchExecutor, EmptyBatchReturnsEmpty) {
   opts.threads = 4;
   BatchExecutor executor(opts);
   BatchDiagnostics diag;
-  const auto out = executor.run_batch("greedy", {}, Request{}, &diag);
+  const auto out = executor.run_batch("greedy", std::span<const Graph>{}, Request{}, {}, &diag);
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(diag.shards, 0);
+}
+
+TEST(BatchExecutor, NoShardStolenWhenEveryWorkerRunsItsOwn) {
+  const auto graphs = generator_suite();
+  BatchExecutor executor({.threads = 1, .shard_size = 1, .cache_capacity = 0});
+  BatchDiagnostics diag;
+  (void)executor.run_batch("greedy", span_of(graphs), Request{}, {}, &diag);
+  EXPECT_EQ(diag.threads, 1);
+  EXPECT_EQ(diag.shards, static_cast<int>(graphs.size()));
+  EXPECT_EQ(diag.stolen_shards, 0u);
+
+  // One shard per worker: worker w runs shard w, its round-robin owner.
+  const std::span<const Graph> four = span_of(graphs).first(4);
+  BatchDiagnostics spread;
+  (void)BatchExecutor({.threads = 4, .shard_size = 1})
+      .run_batch("greedy", four, Request{}, {}, &spread);
+  EXPECT_EQ(spread.threads, 4);
+  EXPECT_EQ(spread.stolen_shards, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// common::fork_join / common::parallel_for: the one fork-join primitive
+
+constexpr int kTaskCounts[] = {0, 1, 2, 7, 1000};
+constexpr int kWorkerCounts[] = {1, 2, 4, 8};
+
+TEST(ForkJoin, EveryTaskRunsExactlyOnceOnAValidWorker) {
+  for (const int tasks : kTaskCounts) {
+    for (const int workers : kWorkerCounts) {
+      std::vector<std::atomic<int>> runs(static_cast<std::size_t>(tasks));
+      std::vector<int> worker_of(static_cast<std::size_t>(tasks), -1);
+      common::fork_join(tasks, workers, [&](int task, int worker) {
+        runs[static_cast<std::size_t>(task)].fetch_add(1);
+        worker_of[static_cast<std::size_t>(task)] = worker;
+      });
+      for (int t = 0; t < tasks; ++t) {
+        EXPECT_EQ(runs[static_cast<std::size_t>(t)].load(), 1)
+            << "task " << t << " of " << tasks << " at workers=" << workers;
+        EXPECT_GE(worker_of[static_cast<std::size_t>(t)], 0);
+        EXPECT_LT(worker_of[static_cast<std::size_t>(t)], std::min(workers, tasks));
+      }
+    }
+  }
+}
+
+TEST(ForkJoin, OneWorkerRunsInlineInIndexOrder) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const int workers : {-1, 0, 1}) {
+    for (const int tasks : kTaskCounts) {
+      std::vector<int> order;
+      bool all_on_caller = true;
+      common::fork_join(tasks, workers, [&](int task, int worker) {
+        EXPECT_EQ(worker, 0);
+        all_on_caller = all_on_caller && std::this_thread::get_id() == caller;
+        order.push_back(task);
+      });
+      EXPECT_TRUE(all_on_caller) << "tasks=" << tasks << " workers=" << workers;
+      ASSERT_EQ(order.size(), static_cast<std::size_t>(tasks));
+      for (int t = 0; t < tasks; ++t) EXPECT_EQ(order[static_cast<std::size_t>(t)], t);
+    }
+  }
+}
+
+TEST(ForkJoin, TasksEqualWorkersPinsTaskToWorker) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const int workers : kWorkerCounts) {
+    std::vector<int> worker_of(static_cast<std::size_t>(workers), -1);
+    std::vector<std::thread::id> thread_of(static_cast<std::size_t>(workers));
+    common::fork_join(workers, workers, [&](int task, int worker) {
+      worker_of[static_cast<std::size_t>(task)] = worker;
+      thread_of[static_cast<std::size_t>(task)] = std::this_thread::get_id();
+    });
+    for (int w = 0; w < workers; ++w) {
+      EXPECT_EQ(worker_of[static_cast<std::size_t>(w)], w) << "workers=" << workers;
+      // Worker 0 is the caller; every other worker is its own thread.
+      EXPECT_EQ(thread_of[static_cast<std::size_t>(w)] == caller, w == 0);
+    }
+  }
+}
+
+TEST(ForkJoin, RethrowsLowestFailingTaskAfterAllWorkersJoined) {
+  for (const int tasks : {7, 1000}) {
+    for (const int workers : kWorkerCounts) {
+      for (const int k : {0, 1, tasks - 4}) {
+        std::atomic<int> active{0};
+        std::atomic<int> runs{0};
+        try {
+          common::fork_join(tasks, workers, [&](int task, int) {
+            active.fetch_add(1);
+            runs.fetch_add(1);
+            struct Leave {
+              std::atomic<int>& active;
+              ~Leave() { active.fetch_sub(1); }
+            } leave{active};
+            if (task == k || task == k + 3) throw std::runtime_error(std::to_string(task));
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+          });
+          ADD_FAILURE() << "no exception at tasks=" << tasks << " workers=" << workers;
+        } catch (const std::runtime_error& e) {
+          EXPECT_EQ(std::string(e.what()), std::to_string(k))
+              << "tasks=" << tasks << " workers=" << workers;
+          EXPECT_EQ(active.load(), 0) << "rethrown before every worker joined";
+        }
+        if (workers == 1) {
+          EXPECT_EQ(runs.load(), k + 1) << "the inline run stops at the throw";
+        } else if (k == 0 && tasks == 1000) {
+          // The caller's own first task throws; the rest were still unclaimed.
+          EXPECT_LT(runs.load(), tasks) << "claims went on after the throw";
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelFor, CoversEveryIndexOnceInContiguousChunks) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const int n : kTaskCounts) {
+    for (const int threads : kWorkerCounts) {
+      std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+      std::atomic<int> chunks{0};
+      std::atomic<bool> off_caller{false};
+      common::parallel_for(n, threads, [&](int begin, int end) {
+        EXPECT_LT(begin, end);
+        chunks.fetch_add(1);
+        if (std::this_thread::get_id() != caller) off_caller.store(true);
+        for (int i = begin; i < end; ++i) hits[static_cast<std::size_t>(i)].fetch_add(1);
+      });
+      for (int i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1)
+            << "index " << i << " of " << n << " at threads=" << threads;
+      }
+      EXPECT_LE(chunks.load(), threads);
+      if (threads == 1) {
+        EXPECT_EQ(chunks.load(), n > 0 ? 1 : 0);
+        EXPECT_FALSE(off_caller.load()) << "threads=1 must run on the caller";
+      }
+    }
+  }
+}
+
+TEST(ParallelFor, RethrowsLowestChunkFailure) {
+  for (const int threads : kWorkerCounts) {
+    try {
+      common::parallel_for(1000, threads, [&](int begin, int end) {
+        if (end == 1000 || begin == 0) throw std::runtime_error(std::to_string(begin));
+      });
+      ADD_FAILURE() << "no exception at threads=" << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "0") << "threads=" << threads;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -835,7 +991,7 @@ TEST(BatchExecutor, OverridesChangeThreadsAndShardsForOneBatchOnly) {
   EXPECT_EQ(diag.shards, static_cast<int>(graphs.size()));
 
   BatchDiagnostics plain;
-  const auto defaults = executor.run_batch("greedy", span_of(graphs), req, &plain);
+  const auto defaults = executor.run_batch("greedy", span_of(graphs), req, {}, &plain);
   EXPECT_EQ(plain.threads, 1);  // the configured defaults are untouched
   EXPECT_EQ(overridden, defaults);  // determinism across worker counts
 
@@ -849,7 +1005,7 @@ TEST(BatchExecutor, BypassCacheComputesFreshAndLeavesCacheUntouched) {
   const auto graphs = generator_suite();
   BatchExecutor executor({.threads = 2, .shard_size = 2, .cache_capacity = 64});
   Request req;
-  (void)executor.run_batch("greedy", span_of(graphs), req, nullptr);  // fill
+  (void)executor.run_batch("greedy", span_of(graphs), req, {}, nullptr);  // fill
   const CacheStats before = executor.cache_stats();
   EXPECT_EQ(before.size, graphs.size());
 
@@ -862,7 +1018,7 @@ TEST(BatchExecutor, BypassCacheComputesFreshAndLeavesCacheUntouched) {
   EXPECT_EQ(executor.cache_stats(), before);  // cache bit-identical
 
   // And the bypass run computed the same responses a cached run returns.
-  EXPECT_EQ(fresh, executor.run_batch("greedy", span_of(graphs), req, nullptr));
+  EXPECT_EQ(fresh, executor.run_batch("greedy", span_of(graphs), req, {}, nullptr));
 }
 
 TEST(BatchExecutor, CacheNamespacesIsolateIdenticalRequests) {
@@ -904,7 +1060,7 @@ TEST(BatchExecutor, PointerSpanBatchesMatchValueSpans) {
   BatchExecutor executor({.threads = 2, .shard_size = 2, .cache_capacity = 0});
   Request req;
   req.measure_ratio = true;
-  const auto by_value = executor.run_batch("theorem44", span_of(graphs), req, nullptr);
+  const auto by_value = executor.run_batch("theorem44", span_of(graphs), req, {}, nullptr);
   const auto by_pointer = executor.run_batch(
       "theorem44", std::span<const Graph* const>{ptrs.data(), ptrs.size()}, req,
       BatchOverrides{}, nullptr);

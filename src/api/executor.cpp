@@ -178,16 +178,42 @@ std::vector<Response> BatchExecutor::run_batch(
         in_sub.assign(static_cast<std::size_t>(support.graph.num_vertices()), 0);
         for (graph::Vertex v : sub.solution) in_sub[static_cast<std::size_t>(v)] = 1;
       }
+      std::vector<char> member(static_cast<std::size_t>(cn), 0);
       for (graph::Vertex v = 0; v < cn; ++v) {
         // A clean vertex is < pn by construction (new vertices are all dirty).
-        const bool member =
+        member[static_cast<std::size_t>(v)] =
             dirty[static_cast<std::size_t>(v)]
                 ? in_sub[static_cast<std::size_t>(
-                      support.from_parent[static_cast<std::size_t>(v)])] != 0
-                : in_parent[static_cast<std::size_t>(v)] != 0;
-        if (member) result.solution.push_back(v);
+                      support.from_parent[static_cast<std::size_t>(v)])]
+                : in_parent[static_cast<std::size_t>(v)];
+        if (member[static_cast<std::size_t>(v)]) result.solution.push_back(v);
       }
-      result.valid = spec->problem == Problem::Mvc
+      // Validity over N[dirty] only. Dirty balls hold every edited endpoint
+      // (r >= 0), so a vertex outside N[dirty] keeps its parent closed
+      // neighbourhood, all of it clean and so decided as in the parent, and
+      // an edge between two clean vertices is a parent edge with both parent
+      // decisions. A valid parent answer thus settles everything outside;
+      // an invalid one may be mended inside, so it gets the full check.
+      const auto in = [&member](graph::Vertex v) {
+        return member[static_cast<std::size_t>(v)] != 0;
+      };
+      const auto dominated = [&](graph::Vertex v) {
+        const auto nv = g.neighbors(v);
+        return in(v) || std::any_of(nv.begin(), nv.end(), in);
+      };
+      const auto valid_near_dirty = [&] {
+        for (graph::Vertex v : dirty_list) {
+          const auto nv = g.neighbors(v);
+          const bool ok = spec->problem == Problem::Mvc
+                              ? in(v) || std::all_of(nv.begin(), nv.end(), in)
+                              : dominated(v) && std::all_of(nv.begin(), nv.end(), dominated);
+          if (!ok) return false;
+        }
+        return true;
+      };
+      const bool parent_valid = result.valid;
+      result.valid = parent_valid ? valid_near_dirty()
+                     : spec->problem == Problem::Mvc
                          ? solve::is_vertex_cover(g, result.solution)
                          : solve::is_dominating_set(g, result.solution);
       incr_dirty.fetch_add(dirty_list.size(), std::memory_order_relaxed);

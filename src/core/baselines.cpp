@@ -1,12 +1,11 @@
 #include "core/baselines.hpp"
 
 #include <algorithm>
-#include <stdexcept>
+#include <bit>
+#include <cstdint>
 
 #include "common/parallel.hpp"
-#include "graph/bfs.hpp"
 #include "graph/graph.hpp"
-#include "solve/exact_mds.hpp"
 
 namespace lmds::core {
 
@@ -39,23 +38,155 @@ std::vector<Vertex> tree_degree_rule(const Graph& g, int threads) {
   return result;
 }
 
+namespace {
+
+// The set cover behind gamma. The targets N[v] are bit positions 0..d of a
+// multi-word "uncovered" mask, one code path for every degree. The
+// candidates N(N[v]) \ {v} come straight from the CSR rows of N[v] by
+// sort+unique, and each keeps the sparse list of targets it covers, so the
+// memory is O(sum of deg over N[v]) words: never sized by n, and never
+// candidates x (d+1)/64 words (1.25 GB for a hub of K_{2,100000}).
+class GammaCover {
+ public:
+  GammaCover(const Graph& g, Vertex v) {
+    const auto nv = g.neighbors(v);
+    targets_ = static_cast<int>(nv.size()) + 1;
+    words_ = (static_cast<std::size_t>(targets_) + 63) / 64;
+    // Target 0 is v, target i > 0 its i-th neighbour; w covers target t iff
+    // w is in N[t]. Each pair (w, t) is packed as w << 32 | t, so sorting
+    // the pairs groups them by coverer.
+    std::size_t total = static_cast<std::size_t>(targets_ + g.degree(v));
+    for (Vertex t : nv) total += static_cast<std::size_t>(g.degree(t));
+    std::vector<std::uint64_t> pairs;
+    pairs.reserve(total);
+    const auto emit = [&pairs, v](Vertex w, int t) {
+      if (w != v) pairs.push_back(static_cast<std::uint64_t>(w) << 32 | static_cast<unsigned>(t));
+    };
+    for (Vertex w : nv) emit(w, 0);
+    for (int t = 1; t < targets_; ++t) {
+      const Vertex u = nv[static_cast<std::size_t>(t - 1)];
+      emit(u, t);
+      for (Vertex w : g.neighbors(u)) emit(w, t);
+    }
+    std::sort(pairs.begin(), pairs.end());
+
+    // Candidate c covers targets covered_[begin_[c] .. begin_[c + 1]).
+    begin_.reserve(pairs.size() + 1);
+    covered_.reserve(pairs.size());
+    for (std::size_t p = 0; p < pairs.size(); ++p) {
+      if (p == 0 || pairs[p] >> 32 != pairs[p - 1] >> 32) begin_.push_back(covered_.size());
+      covered_.push_back(static_cast<int>(pairs[p] & 0xffffffffU));
+    }
+    begin_.push_back(covered_.size());
+    const auto candidates = static_cast<int>(begin_.size()) - 1;
+    std::vector<int> coverers(static_cast<std::size_t>(targets_), 0);
+    for (int t : covered_) ++coverers[static_cast<std::size_t>(t)];
+    for (int c = 0; c < candidates; ++c) max_cover_ = std::max(max_cover_, coverage(c));
+
+    // The transpose: target t's coverers, largest coverage first (ties by
+    // vertex id), so the search tries big sets first.
+    by_target_.assign(static_cast<std::size_t>(targets_) + 1, 0);
+    for (int t = 0; t < targets_; ++t) {
+      by_target_[static_cast<std::size_t>(t) + 1] =
+          by_target_[static_cast<std::size_t>(t)] + static_cast<std::size_t>(coverers[static_cast<std::size_t>(t)]);
+    }
+    coverer_.resize(covered_.size());
+    std::vector<int> order(static_cast<std::size_t>(candidates));
+    for (int c = 0; c < candidates; ++c) order[static_cast<std::size_t>(c)] = c;
+    std::stable_sort(order.begin(), order.end(),
+                     [this](int a, int b) { return coverage(a) > coverage(b); });
+    std::vector<std::size_t> fill(by_target_.begin(), by_target_.end() - 1);
+    for (int c : order) {
+      for (std::size_t k = begin_[static_cast<std::size_t>(c)];
+           k != begin_[static_cast<std::size_t>(c) + 1]; ++k) {
+        coverer_[fill[static_cast<std::size_t>(covered_[k])]++] = c;
+      }
+    }
+  }
+
+  // Smallest k <= cap such that k candidates cover every target, else cap+1
+  // (also when the node budget runs out).
+  int minimum(int cap) {
+    // N(v) covers N[v], so the optimum is at most d: no deeper level needed.
+    const int depth_cap = std::min(cap, targets_ - 1);
+    stack_.assign(words_ * static_cast<std::size_t>(depth_cap + 1), 0);
+    for (int k = 1; k <= depth_cap; ++k) {
+      std::fill(stack_.begin(), stack_.begin() + static_cast<std::ptrdiff_t>(words_),
+                ~std::uint64_t{0});
+      if (targets_ % 64 != 0) stack_[words_ - 1] = (std::uint64_t{1} << (targets_ % 64)) - 1;
+      if (covers(0, k, targets_)) return k;
+      if (nodes_ > kMaxNodes) break;
+    }
+    return cap + 1;
+  }
+
+ private:
+  static constexpr std::uint64_t kMaxNodes = 50'000'000;  // exact_mds's budget
+
+  int coverage(int c) const {
+    return static_cast<int>(begin_[static_cast<std::size_t>(c) + 1] -
+                            begin_[static_cast<std::size_t>(c)]);
+  }
+  std::size_t coverers(int t) const {
+    return by_target_[static_cast<std::size_t>(t) + 1] - by_target_[static_cast<std::size_t>(t)];
+  }
+
+  // Can `left` more candidates cover the `remaining` targets still set in
+  // stack level `depth`?
+  bool covers(int depth, int left, int remaining) {
+    if (++nodes_ > kMaxNodes) return false;
+    if (remaining == 0) return true;
+    if (remaining > left * max_cover_) return false;
+    const std::uint64_t* uncovered = stack_.data() + static_cast<std::size_t>(depth) * words_;
+    // Branch on the uncovered target with the fewest coverers: one of them
+    // is in every cover.
+    int pivot = -1;
+    for (std::size_t w = 0; w < words_; ++w) {
+      for (std::uint64_t bits = uncovered[w]; bits != 0; bits &= bits - 1) {
+        const auto t = static_cast<int>(w * 64) + std::countr_zero(bits);
+        if (pivot < 0 || coverers(t) < coverers(pivot)) pivot = t;
+      }
+    }
+    std::uint64_t* next = stack_.data() + static_cast<std::size_t>(depth + 1) * words_;
+    for (std::size_t k = by_target_[static_cast<std::size_t>(pivot)];
+         k != by_target_[static_cast<std::size_t>(pivot) + 1]; ++k) {
+      const int c = coverer_[k];
+      std::copy(uncovered, uncovered + words_, next);
+      int still = remaining;
+      for (std::size_t j = begin_[static_cast<std::size_t>(c)];
+           j != begin_[static_cast<std::size_t>(c) + 1]; ++j) {
+        const auto t = static_cast<std::size_t>(covered_[j]);
+        const std::uint64_t bit = std::uint64_t{1} << (t % 64);
+        if (next[t / 64] & bit) {
+          next[t / 64] &= ~bit;
+          --still;
+        }
+      }
+      if (covers(depth + 1, left - 1, still)) return true;
+      if (nodes_ > kMaxNodes) return false;
+    }
+    return false;
+  }
+
+  int targets_ = 0;
+  std::size_t words_ = 0;
+  std::vector<std::size_t> begin_;     // candidate -> start of its targets in covered_
+  std::vector<int> covered_;           // targets, grouped by candidate
+  std::vector<std::size_t> by_target_; // target -> start of its coverers in coverer_
+  std::vector<int> coverer_;           // candidates, grouped by target
+  std::vector<std::uint64_t> stack_;   // the uncovered mask at each search depth
+  int max_cover_ = 0;
+  std::uint64_t nodes_ = 0;
+};
+
+}  // namespace
+
 int gamma(const Graph& g, Vertex v, int cap) {
-  // Minimum number of vertices != v covering N[v]: a tiny set-cover over
-  // candidates N^2[v] \ {v}. We only need to know whether the optimum is
-  // <= cap, so try increasing sizes via the exact solver with the candidate
-  // pool restricted — the solver is fast at these sizes.
-  const auto targets = g.closed_neighborhood(v);
-  std::vector<Vertex> candidates;
-  for (Vertex c : graph::ball(g, v, 2)) {
-    if (c != v) candidates.push_back(c);
-  }
-  try {
-    const auto solution = solve::exact_set_domination(g, targets, candidates);
-    const int size = static_cast<int>(solution.size());
-    return size <= cap ? size : cap + 1;
-  } catch (const std::runtime_error&) {
-    return cap + 1;  // infeasible: e.g. isolated vertex
-  }
+  // Minimum number of vertices != v covering N[v]: a set cover over the
+  // candidates N(N[v]) \ {v}. Only whether the optimum is <= cap matters,
+  // so the search never goes deeper than cap.
+  if (cap < 1 || g.degree(v) == 0) return cap + 1;  // N[v] is never empty; isolated: no cover
+  return GammaCover(g, v).minimum(cap);
 }
 
 std::vector<Vertex> ksv_style(const Graph& g, int k, int threads) {
@@ -90,7 +221,7 @@ std::vector<Vertex> ksv_style(const Graph& g, int k, int threads) {
       if (dominated[static_cast<std::size_t>(v)]) continue;
       Vertex best = v;
       int best_cover = -1;
-      for (Vertex c : g.closed_neighborhood(v)) {
+      const auto consider = [&](Vertex c) {
         int cover = dominated[static_cast<std::size_t>(c)] ? 0 : 1;
         for (Vertex w : g.neighbors(c)) {
           if (!dominated[static_cast<std::size_t>(w)]) ++cover;
@@ -99,7 +230,9 @@ std::vector<Vertex> ksv_style(const Graph& g, int k, int threads) {
           best_cover = cover;
           best = c;
         }
-      }
+      };
+      consider(v);  // N[v] without materializing it; ties still go to the smaller id
+      for (Vertex c : g.neighbors(v)) consider(c);
       nominee[static_cast<std::size_t>(v)] = best;
     }
   });

@@ -48,7 +48,10 @@ std::vector<Vertex> ksv_style(const Graph& g, int k, int threads = 1);
 /// gamma(v) of §5.5: the minimum number of vertices other than v needed to
 /// dominate N[v]; returns a value > cap (specifically cap+1) when more than
 /// `cap` are needed. Isolated vertices return cap+1 (nothing else can cover
-/// them).
+/// them), as does a search that exhausts its 50M-node budget. A set cover
+/// with the targets N[v] as bits of a multi-word mask and the candidates
+/// N(N[v]) \ {v} gathered from the CSR rows, searched at most `cap` deep;
+/// time and memory depend on the radius-2 ball only, never on n.
 int gamma(const Graph& g, Vertex v, int cap);
 
 }  // namespace lmds::core

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
-#include <map>
 #include <queue>
 #include <stdexcept>
 #include <string>
@@ -90,56 +89,66 @@ PatchedGraph apply_patch(const Graph& parent, const GraphPatch& patch) {
     n = patch.n;
   }
 
-  // Per-endpoint edit deltas; vertices absent from both maps keep their
-  // parent adjacency span byte-for-byte.
-  std::map<Vertex, std::vector<Vertex>> add_at;
-  std::map<Vertex, std::vector<Vertex>> del_at;
-  for (const Edge& e : result.added) {
-    add_at[e.u].push_back(e.v);
-    add_at[e.v].push_back(e.u);
+  // Both orientations of every edit as {row, neighbour}, sorted. Rows named
+  // by no edit are copied from the parent in whole spans between the touched
+  // rows, their offsets shifted by the running degree delta of the rows
+  // before them; only touched rows are merged.
+  std::vector<Edge> edits;
+  edits.reserve(2 * (result.added.size() + result.removed.size()));
+  for (const auto* list : {&result.added, &result.removed}) {
+    for (const Edge& e : *list) {
+      edits.push_back(e);
+      edits.push_back({e.v, e.u});
+    }
   }
-  for (const Edge& e : result.removed) {
-    del_at[e.u].push_back(e.v);
-    del_at[e.v].push_back(e.u);
-  }
+  std::sort(edits.begin(), edits.end());
 
-  std::vector<std::size_t> offsets(static_cast<std::size_t>(n) + 1, 0);
-  for (Vertex v = 0; v < n; ++v) {
-    std::size_t deg = v < parent_n ? static_cast<std::size_t>(parent.degree(v)) : 0;
-    if (const auto it = add_at.find(v); it != add_at.end()) deg += it->second.size();
-    if (const auto it = del_at.find(v); it != del_at.end()) deg -= it->second.size();
-    offsets[static_cast<std::size_t>(v) + 1] = offsets[static_cast<std::size_t>(v)] + deg;
-  }
-  std::vector<Vertex> neighbors(offsets.back());
-  for (Vertex v = 0; v < n; ++v) {
-    Vertex* out = neighbors.data() + offsets[static_cast<std::size_t>(v)];
-    const std::span<const Vertex> old =
-        v < parent_n ? parent.neighbors(v) : std::span<const Vertex>{};
-    const auto add_it = add_at.find(v);
-    const auto del_it = del_at.find(v);
-    if (add_it == add_at.end() && del_it == del_at.end()) {
-      out = std::copy(old.begin(), old.end(), out);
-      continue;
+  // Start of row v in the parent's CSR; rows past the parent are empty.
+  const std::size_t old_total = parent.neighbors_.size();
+  const auto old_start = [&](Vertex v) {
+    return v < parent_n ? parent.offsets_[static_cast<std::size_t>(v)] : old_total;
+  };
+  std::vector<std::size_t> offsets(static_cast<std::size_t>(n) + 1);
+  std::vector<Vertex> neighbors(old_total + 2 * result.added.size() - 2 * result.removed.size());
+  std::ptrdiff_t delta = 0;  // new start - old start of the next row
+  Vertex next = 0;  // first row not yet written
+  // Rows [next, end) are untouched: one bulk copy plus shifted offsets
+  // (unsigned wrap-around adds a negative delta exactly).
+  const auto copy_untouched = [&](Vertex end) {
+    const auto shift = static_cast<std::size_t>(delta);
+    std::copy(parent.neighbors_.begin() + static_cast<std::ptrdiff_t>(old_start(next)),
+              parent.neighbors_.begin() + static_cast<std::ptrdiff_t>(old_start(end)),
+              neighbors.begin() + static_cast<std::ptrdiff_t>(old_start(next) + shift));
+    const Vertex split = std::clamp(parent_n, next, end);
+    for (Vertex v = next; v < split; ++v) {
+      offsets[static_cast<std::size_t>(v)] = parent.offsets_[static_cast<std::size_t>(v)] + shift;
     }
-    // Rebuild this one list: merge (old \ dels) with the sorted adds.
-    std::vector<Vertex>* adds = add_it != add_at.end() ? &add_it->second : nullptr;
-    if (adds) std::sort(adds->begin(), adds->end());
-    std::vector<char> drop;
-    if (del_it != del_at.end()) {
-      drop.assign(old.size(), 0);
-      for (Vertex w : del_it->second) {
-        const auto pos = std::lower_bound(old.begin(), old.end(), w);
-        drop[static_cast<std::size_t>(pos - old.begin())] = 1;
+    std::fill(offsets.begin() + split, offsets.begin() + end, old_total + shift);
+    next = end;
+  };
+  for (auto e = edits.begin(); e != edits.end();) {
+    const Vertex row = e->u;
+    copy_untouched(row);
+    const std::size_t start = old_start(row) + static_cast<std::size_t>(delta);
+    offsets[static_cast<std::size_t>(row)] = start;
+    Vertex* out = neighbors.data() + start;
+    // Merge the old row with this row's sorted edits: an edit below the
+    // current old neighbour is an add (a del always names an old neighbour),
+    // one equal to it is a del (an add never does).
+    for (Vertex w : row < parent_n ? parent.neighbors(row) : std::span<const Vertex>{}) {
+      for (; e != edits.end() && e->u == row && e->v < w; ++e) *out++ = e->v;
+      if (e != edits.end() && e->u == row && e->v == w) {
+        ++e;
+        continue;
       }
+      *out++ = w;
     }
-    std::size_t ai = 0;
-    for (std::size_t i = 0; i < old.size(); ++i) {
-      if (!drop.empty() && drop[i]) continue;
-      while (adds && ai < adds->size() && (*adds)[ai] < old[i]) *out++ = (*adds)[ai++];
-      *out++ = old[i];
-    }
-    while (adds && ai < adds->size()) *out++ = (*adds)[ai++];
+    for (; e != edits.end() && e->u == row; ++e) *out++ = e->v;
+    next = row + 1;
+    delta = (out - neighbors.data()) - static_cast<std::ptrdiff_t>(old_start(next));
   }
+  copy_untouched(n);
+  offsets[static_cast<std::size_t>(n)] = neighbors.size();
   result.graph = Graph(std::move(offsets), std::move(neighbors));
   return result;
 }

@@ -33,9 +33,12 @@ struct PatchedGraph {
   std::vector<Edge> removed;
 };
 
-/// Applies a batch of edge edits to `parent`. Unchanged adjacency spans are
-/// copied wholesale from the parent's CSR (no re-sort, no re-validation);
-/// only vertices incident to an edit get their lists rebuilt. Throws
+/// Applies a batch of edge edits to `parent`. The edits' endpoints are
+/// walked in sorted order: the untouched CSR rows between two touched ones
+/// are copied from the parent as one span (no re-sort, no re-validation)
+/// with their offsets shifted by the running degree delta, and only the
+/// touched rows are merged with their sorted edits. Beyond validation, the
+/// cost is O(edits log edits) plus one bulk copy of the CSR. Throws
 /// std::invalid_argument on any malformed edit: a self-loop or negative
 /// endpoint, a duplicate within add or del, an added edge already present,
 /// a deleted edge absent, an edge both added and deleted, or an explicit

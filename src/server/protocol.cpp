@@ -1,5 +1,6 @@
 #include "server/protocol.hpp"
 
+#include <charconv>
 #include <limits>
 
 #include "graph/builder.hpp"
@@ -283,11 +284,22 @@ std::string encode_error(ErrorCode code, std::string_view message) {
 namespace {
 
 void append_vertices(std::string& out, const std::vector<api::Vertex>& vs) {
+  // Reserved once for the longest case (11 characters and a comma per id);
+  // the digits go through a stack buffer, so only what is written is
+  // touched and the unused tail of the reservation never becomes resident.
+  out.reserve(out.size() + 2 + 12 * vs.size());
   out += '[';
+  char buf[4096];
+  char* p = buf;
   for (std::size_t i = 0; i < vs.size(); ++i) {
-    if (i) out += ',';
-    out += std::to_string(vs[i]);
+    if (buf + sizeof buf - p < 12) {
+      out.append(buf, p);
+      p = buf;
+    }
+    if (i) *p++ = ',';
+    p = std::to_chars(p, buf + sizeof buf, vs[i]).ptr;
   }
+  out.append(buf, p);
   out += ']';
 }
 

@@ -27,6 +27,7 @@ namespace lmds::core {
 namespace {
 
 using graph::Graph;
+using graph::GraphPatch;
 using graph::Vertex;
 
 // ---------------------------------------------------------------------------
@@ -425,6 +426,103 @@ TEST(Baselines, GammaValues) {
   // Isolated vertex: nothing else covers it.
   const Graph iso(std::vector<std::vector<Vertex>>(1));
   EXPECT_GT(gamma(iso, 0, 3), 3);
+}
+
+// The seed route to gamma: the general exact set-cover solver over
+// ball(v, 2) \ {v}, kept here as the reference for the bitmask kernel.
+int reference_gamma(const Graph& g, Vertex v, int cap) {
+  const auto targets = g.closed_neighborhood(v);
+  std::vector<Vertex> candidates;
+  for (Vertex c : graph::ball(g, v, 2)) {
+    if (c != v) candidates.push_back(c);
+  }
+  try {
+    const auto solution = solve::exact_set_domination(g, targets, candidates);
+    const int size = static_cast<int>(solution.size());
+    return size <= cap ? size : cap + 1;
+  } catch (const std::runtime_error&) {
+    return cap + 1;
+  }
+}
+
+void expect_gamma_matches_reference(const Graph& g, const std::string& name) {
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    for (int cap = 0; cap <= 5; ++cap) {
+      ASSERT_EQ(gamma(g, v, cap), reference_gamma(g, v, cap))
+          << name << " v=" << v << " deg=" << g.degree(v) << " cap=" << cap;
+    }
+  }
+}
+
+TEST(Baselines, GammaMatchesSetCoverReferenceOnEveryFamily) {
+  std::mt19937_64 rng(401);
+  const std::vector<std::pair<std::string, Graph>> graphs = {
+      {"path", graph::gen::path(12)},
+      {"cycle", graph::gen::cycle(11)},
+      {"star", graph::gen::star(9)},
+      {"complete", graph::gen::complete(7)},
+      {"k33", graph::gen::complete_bipartite(3, 3)},
+      {"grid", graph::gen::grid(7, 8)},
+      {"wheel", graph::gen::wheel(10)},
+      {"spider", graph::gen::spider(4, 3)},
+      {"random_tree", graph::gen::random_tree(40, rng)},
+      {"caterpillar", graph::gen::caterpillar(6, 2)},
+      {"theta_chain", graph::gen::theta_chain(4, 3)},
+      {"clique_with_pendants", graph::gen::clique_with_pendants(6)},
+      {"apollonian", graph::gen::apollonian(30, rng)},
+      {"maximal_outerplanar", graph::gen::random_maximal_outerplanar(30, rng)},
+      {"outerplanar", graph::gen::random_outerplanar(30, 0.5, rng)},
+      {"max_degree", graph::gen::random_max_degree(40, 4, 10, rng)},
+      {"random_connected", graph::gen::random_connected(35, 25, rng)},
+      {"cactus", ding::random_cactus_of_structures({}, rng)},
+  };
+  for (const auto& [name, g] : graphs) expect_gamma_matches_reference(g, name);
+}
+
+TEST(Baselines, GammaMatchesReferenceOnIsolatedAndHighDegreeVertices) {
+  // Isolated vertices (alone and next to a component), and degree > 64, where
+  // the uncovered-target mask spans several words.
+  expect_gamma_matches_reference(Graph(std::vector<std::vector<Vertex>>(3)), "isolated");
+  GraphPatch grow;
+  grow.n = 12;
+  expect_gamma_matches_reference(graph::apply_patch(graph::gen::cycle(9), grow).graph,
+                                 "cycle+isolated");
+  expect_gamma_matches_reference(graph::gen::wheel(101), "wheel(101)");
+  expect_gamma_matches_reference(graph::gen::complete_bipartite(2, 100), "k2_100");
+  expect_gamma_matches_reference(graph::gen::star(130), "star(130)");
+  expect_gamma_matches_reference(graph::gen::clique_with_pendants(70), "clique70+pendants");
+}
+
+TEST(Baselines, GammaMatchesReferenceOnPatchedGrids) {
+  std::mt19937_64 rng(409);
+  const Graph grid = graph::gen::grid(9, 9);
+  const auto edges = grid.edges();
+  for (int trial = 0; trial < 4; ++trial) {
+    GraphPatch p;
+    for (int i = 0; i < 6; ++i) p.del.push_back(edges[rng() % edges.size()]);
+    std::sort(p.del.begin(), p.del.end());
+    p.del.erase(std::unique(p.del.begin(), p.del.end()), p.del.end());
+    for (int i = 0; i < 6; ++i) {
+      const auto u = static_cast<Vertex>(rng() % 81);
+      const auto w = static_cast<Vertex>(rng() % 81);
+      if (u != w && !grid.has_edge(u, w)) p.add.push_back({std::min(u, w), std::max(u, w)});
+    }
+    std::sort(p.add.begin(), p.add.end());
+    p.add.erase(std::unique(p.add.begin(), p.add.end()), p.add.end());
+    expect_gamma_matches_reference(graph::apply_patch(grid, p).graph,
+                                   "patched grid " + std::to_string(trial));
+  }
+}
+
+TEST(Baselines, KsvStyleIsThreadCountInvariant) {
+  std::mt19937_64 rng(419);
+  const std::vector<Graph> graphs = {graph::gen::grid(30, 30),
+                                     graph::gen::random_maximal_outerplanar(500, rng),
+                                     graph::gen::complete_bipartite(2, 100),
+                                     ding::random_cactus_of_structures({.pieces = 40}, rng)};
+  for (const Graph& g : graphs) {
+    for (const int k : {1, 2, 3}) EXPECT_EQ(ksv_style(g, k, 4), ksv_style(g, k, 1)) << k;
+  }
 }
 
 TEST(Baselines, KsvStyleDominates) {

@@ -12,10 +12,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <random>
 #include <set>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -39,6 +43,7 @@ namespace {
 using graph::Edge;
 using graph::Graph;
 using graph::GraphPatch;
+using graph::Vertex;
 
 // ---------------------------------------------------------------------------
 // graph::apply_patch
@@ -88,20 +93,214 @@ TEST(ApplyPatch, MatchesFromScratchRebuild) {
   EXPECT_EQ(graph::graph_hash(patched), graph::graph_hash(Graph(adj)));
 }
 
+// Every malformed shape RejectsInconsistentEdits checks, against path(4).
+const std::vector<GraphPatch>& malformed_patches() {
+  static const std::vector<GraphPatch> patches = {
+      {.add = {{2, 2}}, .del = {}, .n = -1},          // self-loop
+      {.add = {{0, 2}, {2, 0}}, .del = {}, .n = -1},  // duplicate (orientation-blind)
+      {.add = {{0, 1}}, .del = {}, .n = -1},          // add of a present edge
+      {.add = {}, .del = {{0, 2}}, .n = -1},          // del of an absent edge
+      {.add = {{0, 2}}, .del = {{0, 2}}, .n = -1},    // add ∩ del
+      {.add = {{-1, 2}}, .del = {}, .n = -1},         // negative endpoint
+      {.add = {}, .del = {}, .n = 2},                 // n may only grow
+      {.add = {}, .del = {{0, 9}}, .n = -1},          // del endpoint out of range
+  };
+  return patches;
+}
+
 TEST(ApplyPatch, RejectsInconsistentEdits) {
   const Graph parent = graph::gen::path(4);
-  const auto rejects = [&](GraphPatch p) {
+  for (const GraphPatch& p : malformed_patches()) {
     EXPECT_THROW((void)graph::apply_patch(parent, p), std::invalid_argument);
-  };
-  rejects({.add = {{2, 2}}, .del = {}, .n = -1});          // self-loop
-  rejects({.add = {{0, 2}, {2, 0}}, .del = {}, .n = -1});  // duplicate (orientation-blind)
-  rejects({.add = {{0, 1}}, .del = {}, .n = -1});          // add of a present edge
-  rejects({.add = {}, .del = {{0, 2}}, .n = -1});          // del of an absent edge
-  rejects({.add = {{0, 2}}, .del = {{0, 2}}, .n = -1});    // add ∩ del
-  rejects({.add = {{-1, 2}}, .del = {}, .n = -1});         // negative endpoint
-  rejects({.add = {}, .del = {}, .n = 2});                 // n may only grow
-  rejects({.add = {}, .del = {{0, 9}}, .n = -1});          // del endpoint out of range
+  }
 }
+
+// The seed apply_patch: per-vertex std::map lookups over all n rows. Kept as
+// the reference the span-copying version must match, graphs and errors.
+std::vector<Edge> reference_normalize_edits(const std::vector<Edge>& edits, const char* what) {
+  std::vector<Edge> result;
+  result.reserve(edits.size());
+  for (Edge e : edits) {
+    if (e.u < 0 || e.v < 0) {
+      throw std::invalid_argument(std::string("apply_patch: negative endpoint in \"") + what +
+                                  "\"");
+    }
+    if (e.u == e.v) {
+      throw std::invalid_argument("apply_patch: self-loop {" + std::to_string(e.u) + "," +
+                                  std::to_string(e.v) + "} in \"" + what + "\"");
+    }
+    if (e.u > e.v) std::swap(e.u, e.v);
+    result.push_back(e);
+  }
+  std::sort(result.begin(), result.end());
+  const auto dup = std::adjacent_find(result.begin(), result.end());
+  if (dup != result.end()) {
+    throw std::invalid_argument("apply_patch: duplicate edge {" + std::to_string(dup->u) + "," +
+                                std::to_string(dup->v) + "} in \"" + what + "\"");
+  }
+  return result;
+}
+
+graph::PatchedGraph reference_apply_patch(const Graph& parent, const GraphPatch& patch) {
+  graph::PatchedGraph result;
+  result.added = reference_normalize_edits(patch.add, "add");
+  result.removed = reference_normalize_edits(patch.del, "del");
+
+  std::vector<Edge> overlap;
+  std::set_intersection(result.added.begin(), result.added.end(), result.removed.begin(),
+                        result.removed.end(), std::back_inserter(overlap));
+  if (!overlap.empty()) {
+    throw std::invalid_argument("apply_patch: edge {" + std::to_string(overlap.front().u) + "," +
+                                std::to_string(overlap.front().v) +
+                                "} appears in both \"add\" and \"del\"");
+  }
+
+  const int parent_n = parent.num_vertices();
+  int n = parent_n;
+  for (const Edge& e : result.added) n = std::max(n, e.v + 1);
+  for (const Edge& e : result.removed) {
+    if (e.v >= parent_n || !parent.has_edge(e.u, e.v)) {
+      throw std::invalid_argument("apply_patch: deleted edge {" + std::to_string(e.u) + "," +
+                                  std::to_string(e.v) + "} is not in the parent graph");
+    }
+  }
+  for (const Edge& e : result.added) {
+    if (e.v < parent_n && parent.has_edge(e.u, e.v)) {
+      throw std::invalid_argument("apply_patch: added edge {" + std::to_string(e.u) + "," +
+                                  std::to_string(e.v) + "} is already present");
+    }
+  }
+  if (patch.n >= 0) {
+    if (patch.n < n) {
+      throw std::invalid_argument("apply_patch: \"n\"=" + std::to_string(patch.n) +
+                                  " is below the required vertex count " + std::to_string(n) +
+                                  " (patches never delete vertices)");
+    }
+    n = patch.n;
+  }
+
+  std::map<Vertex, std::vector<Vertex>> add_at;
+  std::map<Vertex, std::vector<Vertex>> del_at;
+  for (const Edge& e : result.added) {
+    add_at[e.u].push_back(e.v);
+    add_at[e.v].push_back(e.u);
+  }
+  for (const Edge& e : result.removed) {
+    del_at[e.u].push_back(e.v);
+    del_at[e.v].push_back(e.u);
+  }
+
+  std::vector<std::size_t> offsets(static_cast<std::size_t>(n) + 1, 0);
+  for (Vertex v = 0; v < n; ++v) {
+    std::size_t deg = v < parent_n ? static_cast<std::size_t>(parent.degree(v)) : 0;
+    if (const auto it = add_at.find(v); it != add_at.end()) deg += it->second.size();
+    if (const auto it = del_at.find(v); it != del_at.end()) deg -= it->second.size();
+    offsets[static_cast<std::size_t>(v) + 1] = offsets[static_cast<std::size_t>(v)] + deg;
+  }
+  std::vector<Vertex> neighbors(offsets.back());
+  for (Vertex v = 0; v < n; ++v) {
+    Vertex* out = neighbors.data() + offsets[static_cast<std::size_t>(v)];
+    const std::span<const Vertex> old =
+        v < parent_n ? parent.neighbors(v) : std::span<const Vertex>{};
+    const auto add_it = add_at.find(v);
+    const auto del_it = del_at.find(v);
+    if (add_it == add_at.end() && del_it == del_at.end()) {
+      out = std::copy(old.begin(), old.end(), out);
+      continue;
+    }
+    std::vector<Vertex>* adds = add_it != add_at.end() ? &add_it->second : nullptr;
+    if (adds) std::sort(adds->begin(), adds->end());
+    std::vector<char> drop;
+    if (del_it != del_at.end()) {
+      drop.assign(old.size(), 0);
+      for (Vertex w : del_it->second) {
+        const auto pos = std::lower_bound(old.begin(), old.end(), w);
+        drop[static_cast<std::size_t>(pos - old.begin())] = 1;
+      }
+    }
+    std::size_t ai = 0;
+    for (std::size_t i = 0; i < old.size(); ++i) {
+      if (!drop.empty() && drop[i]) continue;
+      while (adds && ai < adds->size() && (*adds)[ai] < old[i]) *out++ = (*adds)[ai++];
+      *out++ = old[i];
+    }
+    while (adds && ai < adds->size()) *out++ = (*adds)[ai++];
+  }
+  result.graph = graph::detail::TrustedCsr::build(std::move(offsets), std::move(neighbors));
+  return result;
+}
+
+// Runs both versions; they must agree on the graph and lineage lists, or
+// throw std::invalid_argument with the same message.
+void expect_patch_matches_reference(const Graph& parent, const GraphPatch& p) {
+  std::string want_error;
+  graph::PatchedGraph want;
+  try {
+    want = reference_apply_patch(parent, p);
+  } catch (const std::invalid_argument& e) {
+    want_error = e.what();
+  }
+  try {
+    const graph::PatchedGraph got = graph::apply_patch(parent, p);
+    ASSERT_EQ(want_error, "") << "the reference rejected what apply_patch accepted";
+    EXPECT_EQ(got.graph, want.graph);
+    EXPECT_EQ(got.added, want.added);
+    EXPECT_EQ(got.removed, want.removed);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), want_error);
+  }
+}
+
+TEST(ApplyPatch, MatchesMapReferenceOnRandomPatches) {
+  std::mt19937_64 rng(1801);
+  const std::vector<Graph> parents = {Graph(), graph::gen::path(1), graph::gen::grid(12, 12),
+                                      graph::gen::random_connected(80, 60, rng),
+                                      graph::gen::star(70)};
+  for (const Graph& parent : parents) {
+    const int pn = parent.num_vertices();
+    const std::vector<Edge> edges = parent.edges();
+    for (int trial = 0; trial < 60; ++trial) {
+      GraphPatch p;
+      const int grow = static_cast<int>(rng() % 4);
+      const int span = pn + grow + 1;
+      std::set<Edge> add;
+      std::set<Edge> del;
+      const int dels = edges.empty() ? 0 : static_cast<int>(rng() % 8);
+      for (int i = 0; i < dels; ++i) del.insert(edges[rng() % edges.size()]);
+      const int adds = static_cast<int>(rng() % 8);
+      for (int i = 0; i < adds; ++i) {
+        const auto u = static_cast<Vertex>(rng() % static_cast<std::uint64_t>(span));
+        const auto w = static_cast<Vertex>(rng() % static_cast<std::uint64_t>(span));
+        if (u == w) continue;
+        const Edge e{std::min(u, w), std::max(u, w)};
+        if (e.v < pn && parent.has_edge(e.u, e.v)) continue;
+        add.insert(e);
+      }
+      for (const Edge& e : add) p.add.push_back(rng() % 2 ? e : Edge{e.v, e.u});
+      for (const Edge& e : del) p.del.push_back(rng() % 2 ? e : Edge{e.v, e.u});
+      std::shuffle(p.add.begin(), p.add.end(), rng);
+      std::shuffle(p.del.begin(), p.del.end(), rng);
+      if (rng() % 3 == 0) p.n = span + static_cast<int>(rng() % 3);
+      expect_patch_matches_reference(parent, p);
+      // One corrupted copy per trial: each malformation the validator names.
+      GraphPatch bad = p;
+      switch (rng() % 5) {
+        case 0: bad.add.push_back({3, 3}); break;
+        case 1: if (!bad.add.empty()) bad.add.push_back(bad.add.front()); break;
+        case 2: if (!edges.empty()) bad.add.push_back(edges[rng() % edges.size()]); break;
+        case 3: if (!bad.add.empty()) bad.del.push_back(bad.add.back()); break;
+        default: bad.n = std::max(0, pn - 1); break;
+      }
+      expect_patch_matches_reference(parent, bad);
+    }
+  }
+}
+
+TEST(ApplyPatch, MatchesMapReferenceOnEveryMalformedShape) {
+  const Graph parent = graph::gen::path(4);
+  for (const GraphPatch& p : malformed_patches()) expect_patch_matches_reference(parent, p);
+}
+
 
 // ---------------------------------------------------------------------------
 // GraphStore: patch handles, lineage, eviction protection
@@ -202,7 +401,9 @@ struct PatchedFixture {
 // checks the child response equals a fresh full solve — field for field,
 // diagnostics included. Returns the child batch's diagnostics.
 api::BatchDiagnostics check_differential(api::BatchExecutor& ex, const PatchedFixture& fx,
-                                         const std::string& solver, const api::Request& req) {
+                                         const std::string& solver, const api::Request& req,
+                                         const api::Registry& reg = api::Registry::instance(),
+                                         api::Response* child = nullptr) {
   const api::BatchOverrides over;
   const Graph* pg = fx.parent.get();
   (void)ex.run_batch(solver, std::span<const Graph* const>(&pg, 1), req, over);
@@ -216,8 +417,9 @@ api::BatchDiagnostics check_differential(api::BatchExecutor& ex, const PatchedFi
 
   api::Request full = req;
   full.graph = cg;
-  const api::Response want = api::Registry::instance().run(solver, full);
+  const api::Response want = reg.run(solver, full);
   EXPECT_EQ(got.at(0), want) << solver << ": incremental result diverged from full solve";
+  if (child) *child = got.at(0);
   return diag;
 }
 
@@ -240,6 +442,59 @@ TEST(IncrementalDifferential, EverySolverEveryFamilyMatchesFullSolve) {
         EXPECT_EQ(diag.incremental_solves, 0u) << solver << " family " << c.family;
         EXPECT_EQ(diag.incremental_fallbacks, 1u) << solver << " family " << c.family;
       }
+    }
+  }
+}
+
+TEST(IncrementalDifferential, ValidityOverDirtyNeighbourhoodMatchesFullCheck) {
+  // "deg3" joins iff deg(v) >= 3: radius-1 local, and not always a valid
+  // answer. On grid(6,6) the corner 0 is dominated (and its edges covered)
+  // through 1 and 6 only, so deleting {1,2} and {6,12} breaks the answer and
+  // adding {0,14} mends it; {14,21} and {28,35} are edits far from corner 0.
+  // The incremental `valid` must equal a full check in all four
+  // parent/child combinations, for MDS and MVC.
+  GraphPatch cut_corner;
+  cut_corner.del = {{1, 2}, {6, 12}};
+  const Graph valid_parent = graph::gen::grid(6, 6);
+  const Graph invalid_parent = graph::apply_patch(valid_parent, cut_corner).graph;
+  struct Case {
+    const Graph* parent;
+    GraphPatch patch;
+    bool parent_valid;
+    bool child_valid;
+  };
+  const std::vector<Case> cases = {
+      {&valid_parent, {.add = {{14, 21}}, .del = {}, .n = -1}, true, true},
+      {&valid_parent, cut_corner, true, false},
+      {&invalid_parent, {.add = {{0, 14}}, .del = {}, .n = -1}, false, true},
+      {&invalid_parent, {.add = {{28, 35}}, .del = {}, .n = -1}, false, false},
+  };
+  for (const api::Problem problem : {api::Problem::Mds, api::Problem::Mvc}) {
+    api::Registry reg;
+    reg.add({.name = "deg3",
+             .problem = problem,
+             .summary = "degree >= 3 joins",
+             .params = {},
+             .locality_radius = 1},
+            [](const api::SolveContext& ctx) {
+              api::SolverOutput out;
+              for (Vertex v = 0; v < ctx.graph.num_vertices(); ++v) {
+                if (ctx.graph.degree(v) >= 3) out.solution.push_back(v);
+              }
+              return out;
+            });
+    for (const Case& c : cases) {
+      PatchedFixture fx(*c.parent, c.patch);
+      api::BatchExecutor ex({.threads = 1, .shard_size = 4, .cache_capacity = 64}, reg);
+      api::Request parent_req;
+      parent_req.graph = fx.parent.get();
+      ASSERT_EQ(reg.run("deg3", parent_req).valid, c.parent_valid);
+      api::Response child;
+      const api::BatchDiagnostics diag =
+          check_differential(ex, fx, "deg3", api::Request{}, reg, &child);
+      EXPECT_EQ(diag.incremental_solves, 1u);
+      EXPECT_EQ(child.valid, c.child_valid)
+          << to_string(problem) << " parent_valid=" << c.parent_valid;
     }
   }
 }
